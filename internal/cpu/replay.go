@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"efl/internal/isa"
 )
@@ -76,6 +77,16 @@ type Trace struct {
 
 // Len returns the number of recorded instructions.
 func (t *Trace) Len() int { return len(t.entries) }
+
+// Bytes returns the heap bytes the trace holds once compiled: its entries
+// plus compile's per-entry segment index. The segment records themselves
+// (at most one per two entries) are not counted. A nil trace holds none.
+func (t *Trace) Bytes() int64 {
+	if t == nil {
+		return 0
+	}
+	return int64(len(t.entries)) * int64(unsafe.Sizeof(TraceEntry{})+unsafe.Sizeof(int32(0)))
+}
 
 // replayElidable reports whether the entry can be absorbed into a bulk
 // segment: it retires normally and every cache access it performs is a

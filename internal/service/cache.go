@@ -8,76 +8,19 @@ package service
 // requests should cost one campaign total, whether they arrive after the
 // first finished (cache hit) or while it is still running (coalescing).
 
-import "container/list"
+import "efl/internal/lru"
 
-// resultCache is an LRU over finished response bodies, keyed by the
-// canonical request hash. Values are the exact bytes served — a cache hit
-// replays a byte-identical response, which the determinism tests pin.
-//
-// Eviction is bounded two ways: an entry-count cap and a byte budget over
-// the stored bodies. The count cap alone is not a memory bound — a few
-// hundred audited estimate responses (whose audit blocks grow with the
-// run count) can reach hundreds of megabytes well inside any reasonable
-// entry cap — so the byte budget is the binding constraint for large
-// bodies and the count cap for many small ones. Whichever is exceeded,
-// eviction is strictly least-recently-used; a single body larger than the
-// whole budget is not cacheable at all (it would only exist to evict
-// everything else).
+// newResultCache returns an LRU over byte values keyed by a content hash,
+// holding at most cap entries (cap >= 1) totalling at most maxBytes of
+// value bytes (0: no byte budget). It backs the result cache — finished
+// response bodies keyed by the canonical request hash, replayed
+// byte-identically on a hit, which the determinism tests pin — and the
+// uploaded-trace registry. A few hundred audited estimate responses
+// (whose audit blocks grow with the run count) can reach hundreds of
+// megabytes well inside any reasonable entry cap, which is why the byte
+// budget exists.
 //
 // Callers hold the server mutex; the cache itself is not locked.
-type resultCache struct {
-	cap      int
-	maxBytes int64
-	bytes    int64
-	ll       *list.List
-	items    map[string]*list.Element
+func newResultCache(cap int, maxBytes int64) *lru.Cache[string, []byte] {
+	return lru.New[string, []byte](cap, maxBytes, func(b []byte) int64 { return int64(len(b)) })
 }
-
-// cacheEntry is one cached response body.
-type cacheEntry struct {
-	key  string
-	body []byte
-}
-
-// newResultCache returns an LRU holding at most cap entries (cap >= 1)
-// totalling at most maxBytes of body bytes (0: no byte budget).
-func newResultCache(cap int, maxBytes int64) *resultCache {
-	return &resultCache{cap: cap, maxBytes: maxBytes, ll: list.New(), items: make(map[string]*list.Element)}
-}
-
-// get returns the cached body for key, marking it most recently used.
-func (c *resultCache) get(key string) ([]byte, bool) {
-	el, ok := c.items[key]
-	if !ok {
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	return el.Value.(*cacheEntry).body, true
-}
-
-// put stores body under key, evicting least-recently-used entries while
-// either bound (entry count, byte budget) is exceeded.
-func (c *resultCache) put(key string, body []byte) {
-	if el, ok := c.items[key]; ok {
-		c.ll.MoveToFront(el)
-		ent := el.Value.(*cacheEntry)
-		c.bytes += int64(len(body)) - int64(len(ent.body))
-		ent.body = body
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, body: body})
-		c.bytes += int64(len(body))
-	}
-	for c.ll.Len() > 0 && (c.ll.Len() > c.cap || (c.maxBytes > 0 && c.bytes > c.maxBytes)) {
-		back := c.ll.Back()
-		ent := back.Value.(*cacheEntry)
-		c.ll.Remove(back)
-		delete(c.items, ent.key)
-		c.bytes -= int64(len(ent.body))
-	}
-}
-
-// len returns the number of cached entries.
-func (c *resultCache) len() int { return c.ll.Len() }
-
-// size returns the total body bytes held.
-func (c *resultCache) size() int64 { return c.bytes }

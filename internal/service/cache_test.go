@@ -17,19 +17,19 @@ func body(n int) []byte {
 // least-recently-used entry goes first, and a get refreshes recency.
 func TestCacheCountEviction(t *testing.T) {
 	c := newResultCache(3, 0)
-	c.put("a", body(1))
-	c.put("b", body(1))
-	c.put("c", body(1))
+	c.Put("a", body(1))
+	c.Put("b", body(1))
+	c.Put("c", body(1))
 	// Touch a: b is now the LRU entry.
-	if _, ok := c.get("a"); !ok {
+	if _, ok := c.Get("a"); !ok {
 		t.Fatal("a missing before any eviction")
 	}
-	c.put("d", body(1))
-	if _, ok := c.get("b"); ok {
+	c.Put("d", body(1))
+	if _, ok := c.Get("b"); ok {
 		t.Fatal("b survived — eviction is not least-recently-used")
 	}
 	for _, k := range []string{"a", "c", "d"} {
-		if _, ok := c.get(k); !ok {
+		if _, ok := c.Get(k); !ok {
 			t.Fatalf("%s evicted out of order", k)
 		}
 	}
@@ -41,30 +41,30 @@ func TestCacheCountEviction(t *testing.T) {
 // count is nowhere near its cap.
 func TestCacheByteBudget(t *testing.T) {
 	c := newResultCache(1000, 100)
-	c.put("a", body(40))
-	c.put("b", body(40))
-	if c.len() != 2 || c.size() != 80 {
-		t.Fatalf("len=%d size=%d, want 2/80", c.len(), c.size())
+	c.Put("a", body(40))
+	c.Put("b", body(40))
+	if c.Len() != 2 || c.Bytes() != 80 {
+		t.Fatalf("len=%d size=%d, want 2/80", c.Len(), c.Bytes())
 	}
 	// 120 bytes total: a (the LRU entry) must go; b alone fits with c.
-	c.put("c", body(40))
-	if _, ok := c.get("a"); ok {
+	c.Put("c", body(40))
+	if _, ok := c.Get("a"); ok {
 		t.Fatal("byte budget exceeded but the LRU entry survived")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.Get("b"); !ok {
 		t.Fatal("b evicted although evicting a was enough")
 	}
-	if c.size() != 80 {
-		t.Fatalf("size=%d after eviction, want 80", c.size())
+	if c.Bytes() != 80 {
+		t.Fatalf("size=%d after eviction, want 80", c.Bytes())
 	}
 	// Eviction order under byte pressure is strictly LRU: touch b, then
 	// overflow — c (now LRU) goes, b stays.
-	c.get("b")
-	c.put("d", body(40))
-	if _, ok := c.get("c"); ok {
+	c.Get("b")
+	c.Put("d", body(40))
+	if _, ok := c.Get("c"); ok {
 		t.Fatal("eviction under byte pressure is not least-recently-used")
 	}
-	if _, ok := c.get("b"); !ok {
+	if _, ok := c.Get("b"); !ok {
 		t.Fatal("recently-used b evicted")
 	}
 }
@@ -75,16 +75,16 @@ func TestCacheByteBudget(t *testing.T) {
 // working afterwards.
 func TestCacheOversizedBody(t *testing.T) {
 	c := newResultCache(1000, 100)
-	c.put("a", body(40))
-	c.put("huge", body(500))
-	if _, ok := c.get("huge"); ok {
+	c.Put("a", body(40))
+	c.Put("huge", body(500))
+	if _, ok := c.Get("huge"); ok {
 		t.Fatal("body larger than the whole budget was cached")
 	}
-	if c.len() != 0 || c.size() != 0 {
-		t.Fatalf("len=%d size=%d after oversized insert, want 0/0", c.len(), c.size())
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("len=%d size=%d after oversized insert, want 0/0", c.Len(), c.Bytes())
 	}
-	c.put("b", body(40))
-	if _, ok := c.get("b"); !ok {
+	c.Put("b", body(40))
+	if _, ok := c.Get("b"); !ok {
 		t.Fatal("cache dead after oversized insert")
 	}
 }
@@ -93,21 +93,21 @@ func TestCacheOversizedBody(t *testing.T) {
 // replacement: the budget tracks the delta, not the sum.
 func TestCacheReplaceAccounting(t *testing.T) {
 	c := newResultCache(1000, 100)
-	c.put("a", body(30))
-	c.put("a", body(60))
-	if c.len() != 1 || c.size() != 60 {
-		t.Fatalf("len=%d size=%d after replace, want 1/60", c.len(), c.size())
+	c.Put("a", body(30))
+	c.Put("a", body(60))
+	if c.Len() != 1 || c.Bytes() != 60 {
+		t.Fatalf("len=%d size=%d after replace, want 1/60", c.Len(), c.Bytes())
 	}
-	c.put("a", body(10))
-	if c.size() != 10 {
-		t.Fatalf("size=%d after shrinking replace, want 10", c.size())
+	c.Put("a", body(10))
+	if c.Bytes() != 10 {
+		t.Fatalf("size=%d after shrinking replace, want 10", c.Bytes())
 	}
 	// Growing a key past the budget evicts others, then (if still over)
 	// the key itself.
-	c.put("b", body(50))
-	c.put("a", body(200))
-	if c.len() != 0 {
-		t.Fatalf("len=%d after over-budget replace, want 0", c.len())
+	c.Put("b", body(50))
+	c.Put("a", body(200))
+	if c.Len() != 0 {
+		t.Fatalf("len=%d after over-budget replace, want 0", c.Len())
 	}
 }
 
@@ -133,9 +133,9 @@ func TestCacheDefaultByteBudget(t *testing.T) {
 	// And the cap holds end-to-end: filling past the budget stays bounded.
 	c := newResultCache(opts.CacheEntries, 1<<10)
 	for i := 0; i < 100; i++ {
-		c.put(fmt.Sprintf("k%d", i), body(100))
+		c.Put(fmt.Sprintf("k%d", i), body(100))
 	}
-	if c.size() > 1<<10 {
-		t.Fatalf("cache holds %d bytes, budget is %d", c.size(), 1<<10)
+	if c.Bytes() > 1<<10 {
+		t.Fatalf("cache holds %d bytes, budget is %d", c.Bytes(), 1<<10)
 	}
 }

@@ -112,7 +112,7 @@ func failurePropagation(t *testing.T, s *Server, key string, mkPlan func() *Plan
 	wg.Wait()
 
 	s.mu.Lock()
-	_, cached := s.cache.get(key)
+	_, cached := s.cache.Get(key)
 	s.mu.Unlock()
 	if cached {
 		t.Fatal("failed campaign was cached — the next identical request would replay the failure forever")

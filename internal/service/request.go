@@ -81,6 +81,11 @@ func (ps ProgramSpec) build() (*isa.Program, string, error) {
 	default:
 		return nil, "", fmt.Errorf("program: set benchmark, source or trace_hash")
 	}
+	return withContentHash(prog)
+}
+
+// withContentHash returns prog with the SHA-256 of its isa.Encode image.
+func withContentHash(prog *isa.Program) (*isa.Program, string, error) {
 	image, err := isa.Encode(prog)
 	if err != nil {
 		return nil, "", fmt.Errorf("program: %w", err)

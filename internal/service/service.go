@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"efl"
+	"efl/internal/lru"
 	"efl/internal/mbpta"
 	"efl/internal/metrics"
 	"efl/internal/runner"
@@ -153,7 +154,7 @@ type Server struct {
 
 	mu        sync.Mutex
 	draining  bool
-	cache     *resultCache
+	cache     *lru.Cache[string, []byte]
 	flight    map[string]*job
 	requests  map[string]uint64
 	rejected  uint64
@@ -165,11 +166,15 @@ type Server struct {
 
 	// traces is the uploaded-trace registry (raw bytes keyed by their
 	// SHA-256), with its own accounting.
-	traces           *resultCache
+	traces           *lru.Cache[string, []byte]
 	traceUploads     uint64
 	traceHits        uint64
 	traceMiss        uint64
 	traceStoreErrors uint64
+
+	// programs memoises program resolution per ProgramSpec (see
+	// buildProgram).
+	programs *lru.Cache[ProgramSpec, resolvedProgram]
 }
 
 // New starts a Server with opts.
@@ -182,6 +187,7 @@ func New(opts Options) *Server {
 		pools:    make([]*sim.Pool, opts.Workers),
 		cache:    newResultCache(opts.CacheEntries, opts.CacheBytes),
 		traces:   newResultCache(opts.TraceCacheEntries, opts.TraceCacheBytes),
+		programs: newProgramMemo(),
 		flight:   map[string]*job{},
 		requests: map[string]uint64{},
 		workers:  make([]WorkerStat, opts.Workers),
@@ -265,7 +271,7 @@ func (s *Server) worker(id int) {
 		jb.timedOut = !oc.OK() && errors.Is(jb.ctx.Err(), context.DeadlineExceeded)
 		if oc.OK() {
 			jb.body = oc.Value
-			s.cache.put(jb.key, oc.Value)
+			s.cache.Put(jb.key, oc.Value)
 		}
 		delete(s.flight, jb.key)
 		s.workers[id].Jobs++
@@ -331,7 +337,7 @@ func (e *StatusError) Error() string { return fmt.Sprintf("HTTP %d: %s", e.Statu
 func (s *Server) Execute(pl *Plan) ([]byte, string, *StatusError) {
 	t0 := time.Now()
 	s.mu.Lock()
-	if body, ok := s.cache.get(pl.Key); ok {
+	if body, ok := s.cache.Get(pl.Key); ok {
 		s.cacheHits++
 		s.mu.Unlock()
 		s.observe(t0)
@@ -426,7 +432,7 @@ func retryAfterSeconds(d time.Duration) int {
 func (s *Server) CacheLookup(key string) ([]byte, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	body, ok := s.cache.get(key)
+	body, ok := s.cache.Get(key)
 	if ok {
 		s.cacheHits++
 	}
@@ -439,7 +445,7 @@ func (s *Server) CacheLookup(key string) ([]byte, bool) {
 func (s *Server) CacheFill(key string, body []byte) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cache.put(key, body)
+	s.cache.Put(key, body)
 }
 
 // CountRequest records one request against path in the /metrics QPS
@@ -838,12 +844,12 @@ func (s *Server) Snapshot() MetricsSnapshot {
 		QueueCapacity: cap(s.jobs),
 		Cache: CacheStats{
 			Hits: s.cacheHits, Misses: s.cacheMiss, Coalesced: s.coalesced,
-			Entries: s.cache.len(), Bytes: s.cache.size(),
+			Entries: s.cache.Len(), Bytes: s.cache.Bytes(),
 		},
 		Traces: TraceStats{
 			Uploads: s.traceUploads, Hits: s.traceHits, Misses: s.traceMiss,
 			StoreErrors: s.traceStoreErrors,
-			Entries:     s.traces.len(), Bytes: s.traces.size(),
+			Entries:     s.traces.Len(), Bytes: s.traces.Bytes(),
 		},
 		Workers: append([]WorkerStat(nil), s.workers...),
 		LatencyUS: LatencyStats{

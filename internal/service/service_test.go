@@ -577,7 +577,7 @@ func TestIIDGateSurfacesAs422(t *testing.T) {
 		t.Fatalf("run error answered %d, want 422", rec.Code)
 	}
 	s.mu.Lock()
-	_, cached := s.cache.get("job-422")
+	_, cached := s.cache.Get("job-422")
 	s.mu.Unlock()
 	if cached {
 		t.Fatal("failed campaign was cached")

@@ -16,8 +16,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"unsafe"
 
 	"efl/internal/isa"
+	"efl/internal/lru"
 	"efl/internal/workload"
 )
 
@@ -60,7 +62,7 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	hash := hex.EncodeToString(sum[:])
 	s.mu.Lock()
 	s.traceUploads++
-	s.traces.put(hash, data)
+	s.traces.Put(hash, data)
 	s.mu.Unlock()
 	if s.opts.TraceStore != nil {
 		// Best-effort fleet publication: a flaky store degrades trace
@@ -96,7 +98,7 @@ func (s *Server) resolveTrace(hash string) ([]byte, error) {
 		return nil, fmt.Errorf("program: trace_hash is not hex: %v", err)
 	}
 	s.mu.Lock()
-	data, ok := s.traces.get(hash)
+	data, ok := s.traces.Get(hash)
 	if ok {
 		s.traceHits++
 	} else {
@@ -120,12 +122,33 @@ func (s *Server) resolveTrace(hash string) ([]byte, error) {
 				return nil, fmt.Errorf("program: trace %s: store bytes invalid: %v", hash[:12], err)
 			}
 			s.mu.Lock()
-			s.traces.put(hash, data)
+			s.traces.Put(hash, data)
 			s.mu.Unlock()
 			return data, nil
 		}
 	}
 	return nil, fmt.Errorf("program: unknown trace %s…: upload it via POST /v1/trace first", hash[:12])
+}
+
+// The resolved-program memo's bounds: an entry cap plus a byte budget
+// over each entry's source text, code and data. Encodable programs have
+// at most 8192 instructions (under 200 KiB of code), so inline sources of
+// up to maxSourceBytes are what the budget binds on.
+const (
+	programMemoEntries = 256
+	programMemoBytes   = 64 << 20
+)
+
+// resolvedProgram is one memoised program resolution.
+type resolvedProgram struct {
+	prog  *isa.Program
+	sha   string
+	bytes int64 // source text + code + data, charged against programMemoBytes
+}
+
+func newProgramMemo() *lru.Cache[ProgramSpec, resolvedProgram] {
+	return lru.New[ProgramSpec, resolvedProgram](programMemoEntries, programMemoBytes,
+		func(r resolvedProgram) int64 { return r.bytes })
 }
 
 // buildProgram resolves a ProgramSpec into a runnable program and its
@@ -134,31 +157,58 @@ func (s *Server) resolveTrace(hash string) ([]byte, error) {
 // is the SHA-256 of the encoded instruction/data image, so an estimate of
 // a traced workload keys (and caches, and routes) exactly like one of an
 // assembled program.
+//
+// Resolution is memoised per spec: a program is a pure function of its
+// spec (a trace_hash names content), and programs are read-only once
+// built, so every request and worker shares one *isa.Program. A trace
+// spec still resolves its trace first, so an unknown or evicted trace
+// answers the same error whether or not its program is memoised. Errors
+// are never memoised.
 func (s *Server) buildProgram(ps ProgramSpec) (*isa.Program, string, error) {
+	var trace []byte
+	if ps.TraceHash != "" {
+		if ps.Benchmark != "" || ps.Source != "" {
+			return nil, "", fmt.Errorf("program: trace_hash is mutually exclusive with benchmark and source")
+		}
+		var err error
+		if trace, err = s.resolveTrace(ps.TraceHash); err != nil {
+			return nil, "", err
+		}
+	}
+	s.mu.Lock()
+	rp, ok := s.programs.Get(ps)
+	s.mu.Unlock()
+	if ok {
+		return rp.prog, rp.sha, nil
+	}
+	var err error
 	if ps.TraceHash == "" {
-		return ps.build()
+		rp.prog, rp.sha, err = ps.build()
+	} else {
+		rp.prog, rp.sha, err = replayTrace(ps, trace)
 	}
-	if ps.Benchmark != "" || ps.Source != "" {
-		return nil, "", fmt.Errorf("program: trace_hash is mutually exclusive with benchmark and source")
-	}
-	data, err := s.resolveTrace(ps.TraceHash)
 	if err != nil {
 		return nil, "", err
 	}
+	rp.bytes = int64(len(ps.Source)) + int64(len(rp.prog.Code))*int64(unsafe.Sizeof(isa.Instr{})) + int64(len(rp.prog.Data))
+	s.mu.Lock()
+	s.programs.Put(ps, rp)
+	s.mu.Unlock()
+	return rp.prog, rp.sha, nil
+}
+
+// replayTrace builds the program a trace_hash spec names from the
+// resolved trace bytes.
+func replayTrace(ps ProgramSpec, trace []byte) (*isa.Program, string, error) {
 	name := ps.Name
 	if name == "" {
 		name = "trace:" + ps.TraceHash[:12]
 	}
-	prog, err := workload.Replay(name, data)
+	prog, err := workload.Replay(name, trace)
 	if err != nil {
 		return nil, "", fmt.Errorf("program: %w", err)
 	}
-	image, err := isa.Encode(prog)
-	if err != nil {
-		return nil, "", fmt.Errorf("program: %w", err)
-	}
-	sum := sha256.Sum256(image)
-	return prog, hex.EncodeToString(sum[:]), nil
+	return withContentHash(prog)
 }
 
 // TraceStats summarises the trace registry for /metrics.

@@ -9,6 +9,7 @@ import (
 	"efl/internal/cpu"
 	"efl/internal/efl"
 	"efl/internal/isa"
+	"efl/internal/lru"
 )
 
 // Reuse rewinds the platform for a fresh campaign under the SAME Config:
@@ -101,9 +102,11 @@ type Pool struct {
 	batches map[string]*Batch
 	// traces caches one recorded architectural trace per program (traces
 	// are seed-independent, so one recording serves every configuration
-	// and seed). A nil entry marks a program whose recording exceeded the
-	// instruction cap; those runs fall back to the interpreter.
-	traces map[*isa.Program]*cpu.Trace
+	// and seed), least-recently-used first out past poolTraceEntries
+	// programs or poolTraceBytes of trace. A nil entry marks a program
+	// whose recording exceeded the instruction cap; those runs fall back
+	// to the interpreter.
+	traces *lru.Cache[*isa.Program, *cpu.Trace]
 	// aud, when set, checks every run executed through the pool's
 	// collection helpers. The Auditor itself is mutex-guarded, so one
 	// auditor is shared across all workers' pools.
@@ -117,19 +120,28 @@ func NewPool() *Pool {
 	return &Pool{
 		platforms: map[string]*Multicore{},
 		batches:   map[string]*Batch{},
-		traces:    map[*isa.Program]*cpu.Trace{},
+		traces:    lru.New[*isa.Program, *cpu.Trace](poolTraceEntries, poolTraceBytes, (*cpu.Trace).Bytes),
 	}
 }
+
+// A pool's replay-trace bounds. Kernel traces take 0.7–3.9 MiB each, so
+// the budget holds all sixteen kernels (~40 MiB) plus a few replayed
+// workloads; a program whose trace alone exceeds it is re-recorded per
+// campaign instead of cached.
+const (
+	poolTraceEntries = 256
+	poolTraceBytes   = 64 << 20
+)
 
 // traceFor returns the pooled architectural trace of prog, recording it on
 // first use. Programs that do not terminate within maxInstr get a nil
 // trace (interpreter fallback); the cap violation itself still surfaces
 // through the simulator's retired-instruction check either way.
 func (p *Pool) traceFor(prog *isa.Program, maxInstr uint64) *cpu.Trace {
-	tr, ok := p.traces[prog]
+	tr, ok := p.traces.Get(prog)
 	if !ok {
 		tr, _ = cpu.RecordTrace(prog, maxInstr)
-		p.traces[prog] = tr
+		p.traces.Put(prog, tr)
 	}
 	return tr
 }

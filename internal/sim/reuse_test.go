@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"efl/internal/cache"
+	"efl/internal/cpu"
 	"efl/internal/isa"
 )
 
@@ -220,5 +221,66 @@ func TestPoolCancellation(t *testing.T) {
 	_, err := p.CollectAnalysisTimes(ctx, DefaultConfig().WithEFL(500), loopProg("c", 64, 2), 10, 1)
 	if err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+}
+
+// TestPoolTraceRecordedOnce pins that a pool records one program's replay
+// trace once, however many campaigns — single-run or batched — run it.
+func TestPoolTraceRecordedOnce(t *testing.T) {
+	cfg := DefaultConfig().WithEFL(500)
+	prog := loopProg("once", 256, 3)
+	pool := NewPool()
+	var first *cpu.Trace
+	for seed := uint64(1); seed <= 3; seed++ {
+		if _, err := pool.CollectAnalysisTimes(context.Background(), cfg, prog, 5, seed); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 2, 4,
+			func(i int) uint64 { return seed + uint64(i) }, func(float64) bool { return false }); err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := pool.traces.Get(prog)
+		if !ok || tr == nil {
+			t.Fatalf("seed %d: no pooled trace for the program", seed)
+		}
+		if first == nil {
+			first = tr
+		} else if tr != first {
+			t.Fatalf("seed %d: the program's trace was recorded again", seed)
+		}
+	}
+	if n := pool.traces.Len(); n != 1 {
+		t.Fatalf("pool holds %d traces for one program, want 1", n)
+	}
+}
+
+// TestPoolTraceBudget pins the pool's replay-trace bound: serving more
+// distinct programs than the byte budget holds keeps the pool within it,
+// evicting the least recently used traces first.
+func TestPoolTraceBudget(t *testing.T) {
+	base := loopProg("big", 4096, 20)
+	tr, err := cpu.RecordTrace(base, DefaultConfig().MaxInstrPerCore)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fit := int(poolTraceBytes / tr.Bytes())
+	pool := NewPool()
+	progs := make([]*isa.Program, fit+3)
+	for i := range progs {
+		cp := *base // a distinct program pointer with the same trace
+		progs[i] = &cp
+		pool.traceFor(progs[i], DefaultConfig().MaxInstrPerCore)
+		if got := pool.traces.Bytes(); got > poolTraceBytes {
+			t.Fatalf("after %d programs the pool holds %d trace bytes, budget %d", i+1, got, poolTraceBytes)
+		}
+	}
+	if n := pool.traces.Len(); n != fit {
+		t.Fatalf("pool holds %d traces, want the %d that fit the budget", n, fit)
+	}
+	if _, ok := pool.traces.Get(progs[0]); ok {
+		t.Fatal("the least recently used trace survived past the budget")
+	}
+	if _, ok := pool.traces.Get(progs[len(progs)-1]); !ok {
+		t.Fatal("the most recent trace was evicted")
 	}
 }
