@@ -1,6 +1,7 @@
 package efl
 
 import (
+	"context"
 	"fmt"
 
 	"efl/internal/mbpta"
@@ -71,7 +72,7 @@ func (e *PWCETEstimate) MaxObserved() float64 { return e.res.MaxSeen }
 // maxima are fitted with a Gumbel distribution.
 func EstimatePWCET(cfg Config, prog *Program, opt AnalysisOptions) (*PWCETEstimate, error) {
 	opt = opt.withDefaults()
-	times, err := sim.CollectAnalysisTimes(cfg, prog, opt.Runs, opt.Seed)
+	times, err := sim.NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, opt.Runs, opt.Seed)
 	if err != nil {
 		return nil, err
 	}

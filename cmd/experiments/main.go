@@ -41,14 +41,12 @@
 // untouched. -cpuprofile/-memprofile write pprof profiles of whatever
 // experiment ran, for the profiling workflow documented in the README.
 //
-// -converge switches MBPTA campaigns to convergence stopping: runs
-// execute through the batched lockstep engine (-batch lanes, default 8)
-// and stream into an online block-maxima Gumbel fit that stops once the
-// estimate is stable, with -runs as the ceiling. Results are invariant
-// under -batch (per-run seeds derive from the run index) but are a
-// different — equally valid — sample than the fixed-count protocol,
-// which seeds the platform once and is sequentially defined. See
-// DESIGN.md §12.
+// -converge switches MBPTA campaigns to convergence stopping: each run is
+// seeded from its index and streams into an online block-maxima Gumbel
+// fit that stops once the estimate is stable, with -runs as the ceiling.
+// The sample is a different — equally valid — one than the fixed-count
+// protocol's, which seeds the platform once and is sequentially defined.
+// See DESIGN.md §12.
 //
 // -audit turns on the runtime soundness auditor: every simulation run is
 // checked against the invariants in DESIGN.md §9 (exhaustive cycle
@@ -113,7 +111,6 @@ func main() {
 		benchbase = flag.String("benchbaseline", "BENCH_SIM.json", "committed baseline the bench suite gates against (empty: no gate)")
 		benchtol  = flag.Float64("benchtol", 0.10, "tolerated fractional runs/sec drop vs the bench baseline")
 		converge  = flag.Bool("converge", false, "stop MBPTA campaigns when the streaming pWCET estimate converges (-runs becomes the ceiling)")
-		batch     = flag.Int("batch", 8, "lockstep batch width for converged campaigns (results are invariant under it)")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this path")
 		memprof   = flag.String("memprofile", "", "write a heap profile to this path on exit")
 		audit     = flag.Bool("audit", false, "check every run against the soundness invariants; violations fail the command")
@@ -168,7 +165,6 @@ func main() {
 		Parallelism: *parallel,
 		Retries:     *retries,
 		Converge:    *converge,
-		BatchSize:   *batch,
 		Ctx:         ctx,
 	}
 	if *verbose {

@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -66,7 +67,7 @@ func main() {
 			fatal("%v", err)
 		}
 		cfg := sim.DefaultConfig().WithEFL(*mid)
-		times, err = sim.CollectAnalysisTimes(cfg, s.Build(), *runs, *seed)
+		times, err = sim.NewPool().CollectAnalysisTimes(context.Background(), cfg, s.Build(), *runs, *seed)
 		if err != nil {
 			fatal("%v", err)
 		}

@@ -18,7 +18,7 @@ const noFetch = math.MaxUint64
 // architectural trace: exactly the fields Step consults when timing an
 // instruction, with the interpreter's work (decode, register file, data
 // memory) already performed. Addresses are architectural — the per-core
-// addrBase is applied at replay time, so one trace serves every core/lane.
+// addrBase is applied at replay time, so one trace serves every core.
 type TraceEntry struct {
 	FetchAddr uint64 // architectural fetch address, noFetch if fetch skipped
 	MemAddr   uint64 // architectural data address (IsMem only)
@@ -60,8 +60,8 @@ type traceSeg struct {
 
 // Trace is the architectural instruction stream of one program. The
 // stream is seed-independent — the ISA has no timing-visible inputs — so
-// a single recording can be replayed by every run of every lane of a
-// batch, eliminating the interpreter from the simulation hot path.
+// a single recording can be replayed by every run of a campaign,
+// eliminating the interpreter from the simulation hot path.
 type Trace struct {
 	prog    *isa.Program
 	entries []TraceEntry

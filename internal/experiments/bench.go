@@ -61,27 +61,21 @@ func (r *BenchReport) Render() string {
 	return out
 }
 
-// record converts a testing.BenchmarkResult.
+// record converts a testing.BenchmarkResult whose op is one simulation
+// run (or one micro-operation).
 func record(name string, br testing.BenchmarkResult) BenchResult {
-	return recordPerRun(name, 1, br)
-}
-
-// recordPerRun converts a benchmark whose op performs runsPerOp simulation
-// runs, normalising every figure per run so batched and single-run entries
-// are directly comparable.
-func recordPerRun(name string, runsPerOp int, br testing.BenchmarkResult) BenchResult {
-	ns := float64(br.NsPerOp()) / float64(runsPerOp)
+	ns := float64(br.NsPerOp())
 	perSec := 0.0
 	if ns > 0 {
 		perSec = 1e9 / ns
 	}
 	return BenchResult{
 		Name:        name,
-		Iterations:  br.N * runsPerOp,
+		Iterations:  br.N,
 		NsPerOp:     ns,
 		RunsPerSec:  perSec,
-		BytesPerOp:  br.AllocedBytesPerOp() / int64(runsPerOp),
-		AllocsPerOp: br.AllocsPerOp() / int64(runsPerOp),
+		BytesPerOp:  br.AllocedBytesPerOp(),
+		AllocsPerOp: br.AllocsPerOp(),
 	}
 }
 
@@ -102,7 +96,8 @@ func BenchSuite(opt Options, code string, mid int64) (*BenchReport, error) {
 		Kernel:    code,
 	}
 
-	// Analysis campaign: one EFL run per iteration (the MBPTA inner loop).
+	// Analysis campaign: one EFL run per iteration (the MBPTA inner loop,
+	// through the analysis-specialised event loop RunInto dispatches to).
 	acfg := base.WithEFL(mid).WithAnalysis(0)
 	aprogs := make([]*isa.Program, acfg.Cores)
 	aprogs[0] = prog
@@ -119,29 +114,6 @@ func BenchSuite(opt Options, code string, mid int64) (*BenchReport, error) {
 			}
 		}
 	})))
-
-	// Batched analysis campaigns: one lockstep Batch.Run (K runs) per
-	// iteration, normalised per run. The K=1 entry measures the lockstep
-	// engine's overhead over the general loop; K>=4 shows the amortised
-	// throughput campaign drivers get.
-	for _, k := range []int{1, 4, 8, 16} {
-		bt, err := sim.NewBatch(acfg, prog, k)
-		if err != nil {
-			return nil, err
-		}
-		seeds := make([]uint64, k)
-		for j := range seeds {
-			seeds[j] = opt.Seed + uint64(j)
-		}
-		report.Results = append(report.Results, recordPerRun(fmt.Sprintf("batch_run_k%d", k), k, testing.Benchmark(func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := bt.Run(nil, seeds); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})))
-	}
 
 	// Deployment campaign: four co-running copies per iteration.
 	dcfg := base.WithEFL(mid)

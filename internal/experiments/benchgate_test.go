@@ -33,7 +33,7 @@ func TestCompareBaselinePassesWithinTolerance(t *testing.T) {
 	)
 	cur := gateReport(
 		BenchResult{Name: "analysis_run", RunsPerSec: 275}, // -8.3%, inside 10%
-		BenchResult{Name: "batch_run_k8", RunsPerSec: 450}, // addition: ignored
+		BenchResult{Name: "added_bench", RunsPerSec: 450},  // addition: ignored
 	)
 	if err := CompareBaseline(base, cur, 0.10); err != nil {
 		t.Fatalf("gate should pass: %v", err)
@@ -41,8 +41,8 @@ func TestCompareBaselinePassesWithinTolerance(t *testing.T) {
 }
 
 func TestCompareBaselineFlagsNewAllocs(t *testing.T) {
-	base := gateReport(BenchResult{Name: "batch_run_k8", RunsPerSec: 450, AllocsPerOp: 0})
-	cur := gateReport(BenchResult{Name: "batch_run_k8", RunsPerSec: 460, AllocsPerOp: 2})
+	base := gateReport(BenchResult{Name: "analysis_run", RunsPerSec: 450, AllocsPerOp: 0})
+	cur := gateReport(BenchResult{Name: "analysis_run", RunsPerSec: 460, AllocsPerOp: 2})
 	err := CompareBaseline(base, cur, 0.10)
 	if err == nil {
 		t.Fatal("allocs/op increase should fail the gate regardless of throughput")

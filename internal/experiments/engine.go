@@ -79,16 +79,12 @@ type Options struct {
 	Retries int `json:"-"`
 	// Converge switches the MBPTA campaigns (compliance table, Figures
 	// 3 and 4, the MID sweep — everything routed through runCampaigns)
-	// from fixed-count collection to the batched convergence-stopped
-	// protocol: runs are dispatched in lockstep batches with per-run
-	// derived seeds, and collection stops as soon as the streaming pWCET
-	// estimate at Prob stabilises, with Runs as the ceiling. A campaign
-	// parameter: it changes the collected sample (and usually its size).
+	// from fixed-count collection to the convergence-stopped protocol:
+	// each run is seeded from its index, and collection stops as soon as
+	// the streaming pWCET estimate at Prob stabilises, with Runs as the
+	// ceiling. A campaign parameter: it changes the collected sample (and
+	// usually its size).
 	Converge bool
-	// BatchSize is the lockstep batch width converged campaigns dispatch
-	// (default 8). Execution knob: per-run seeds are derived from the run
-	// index, so results are invariant under it.
-	BatchSize int `json:"-"`
 	// FaultRuns is the number of fault-injected runs per detection-matrix
 	// scenario (default 5). A campaign parameter: it shapes the artifact.
 	FaultRuns int
@@ -121,9 +117,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.EVTThreshold == 0 {
 		o.EVTThreshold = 0.25
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = 8
 	}
 	if o.FaultRuns == 0 {
 		o.FaultRuns = 5
@@ -262,7 +255,7 @@ func pwcetFromTimes(times []float64, name string, prob float64) (PWCETResult, er
 // analysisPWCET runs the full MBPTA campaign for prog under cfg on a fresh
 // platform: collect runs analysis-mode execution times, then fit.
 func analysisPWCET(cfg sim.Config, prog *isa.Program, runs int, seed uint64, prob float64) (PWCETResult, error) {
-	times, err := sim.CollectAnalysisTimes(cfg, prog, runs, seed)
+	times, err := sim.NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, runs, seed)
 	if err != nil {
 		return PWCETResult{}, err
 	}

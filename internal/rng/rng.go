@@ -61,8 +61,8 @@ func (m *MWC) Uint32() uint32 {
 // Reseed re-initialises the generator in place without allocating; NewMWC
 // delegates here, so a reseeded generator is the state NewMWC(seed) would
 // produce by construction. Platform pooling (sim.Multicore.Reuse) and the
-// batch engine's per-lane rewind (sim.Multicore.Rewind) depend on both the
-// equivalence and the zero-allocation property.
+// per-run rewind of converged campaigns (sim.Multicore.Rewind) depend on
+// both the equivalence and the zero-allocation property.
 func (m *MWC) Reseed(seed uint64) {
 	// Spread the seed bits with SplitMix64 so that nearby seeds produce
 	// unrelated streams.

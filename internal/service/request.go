@@ -281,17 +281,10 @@ type EstimateRequest struct {
 	SkipIID bool `json:"skip_iid,omitempty"`
 	// Converge stops the campaign as soon as the streaming pWCET estimate
 	// at the smallest requested probability stabilises; Runs becomes the
-	// ceiling instead of the exact count. Converged campaigns execute in
-	// lockstep batches with per-run derived seeds (a different — and
-	// smaller — sample than the fixed-count protocol collects).
+	// ceiling instead of the exact count. Converged campaigns seed each
+	// run from its index (a different — and smaller — sample than the
+	// fixed-count protocol collects).
 	Converge bool `json:"converge,omitempty"`
-	// Batch is the lockstep batch width of a converged campaign (default
-	// 8, at most 64). Execution knob: per-run seeds are derived from the
-	// run index, so the response is byte-identical under any width — which
-	// is why Batch is not part of the request identity. Rejected without
-	// Converge: the fixed-count protocol's sample is defined by sequential
-	// collection and cannot be batched without changing results.
-	Batch int `json:"batch,omitempty"`
 	// Audit attaches a per-request soundness audit block (DESIGN.md §9
 	// invariants checked on every run of this campaign).
 	Audit bool `json:"audit,omitempty"`

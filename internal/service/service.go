@@ -492,10 +492,7 @@ type estimateIdentity struct {
 	Probabilities []float64  `json:"probabilities"`
 	SkipIID       bool       `json:"skip_iid"`
 	Audit         bool       `json:"audit"`
-	// Converge changes the collected sample; the batch width does not
-	// (per-run seeds are derived from the run index), so it is
-	// deliberately absent — requests differing only in batch share one
-	// cache entry and coalesce in flight.
+	// Converge changes the collected sample.
 	Converge bool `json:"converge"`
 }
 
@@ -549,17 +546,6 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 	if seed == 0 {
 		seed = 1
 	}
-	batch := req.Batch
-	if req.Converge {
-		if batch == 0 {
-			batch = 8
-		}
-		if batch < 1 || batch > 64 {
-			return nil, fmt.Errorf("batch: %d outside [1,64]", batch)
-		}
-	} else if batch != 0 {
-		return nil, fmt.Errorf("batch: requires converge (the fixed-count protocol collects sequentially; batching it would change results)")
-	}
 	timeout, err := s.effectiveTimeout(req.TimeoutMS)
 	if err != nil {
 		return nil, err
@@ -582,9 +568,9 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 		}
 		var times []float64
 		if converge {
-			// Convergence-stopped batched collection: the stream tracks the
-			// deepest requested tail (the slowest quantile to stabilise) and
-			// the batch engine supplies runs with index-derived seeds.
+			// Convergence-stopped collection: the stream tracks the deepest
+			// requested tail (the slowest quantile to stabilise) and the
+			// pooled platform supplies runs with index-derived seeds.
 			minRuns := 100
 			if runs < minRuns {
 				minRuns = runs
@@ -598,7 +584,7 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 			if serr != nil {
 				return nil, serr
 			}
-			if _, serr := pool.StreamAnalysisTimes(ctx, cfg, prog, batch, runs,
+			if _, serr := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, runs,
 				func(i int) uint64 { return runner.Seed(seed, "run/"+strconv.Itoa(i)) },
 				stream.Add); serr != nil {
 				return nil, serr

@@ -584,52 +584,66 @@ func TestIIDGateSurfacesAs422(t *testing.T) {
 	}
 }
 
-// TestEstimateConverge: a converge request runs the batched streaming
+// TestEstimateConverge: a converge request runs the streaming
 // estimator, stops at or before the run ceiling, and reports the runs it
-// actually consumed. The response must not depend on the batch width —
-// per-run seeds are derived from the run index, so two fresh servers
-// answering the same request at batch 2 and batch 8 must produce
-// byte-identical bodies.
+// actually consumed. Per-run seeds are derived from the run index, so two
+// fresh servers answering the same request must produce byte-identical
+// bodies.
 func TestEstimateConverge(t *testing.T) {
 	var bodies [][]byte
-	for _, batch := range []int{2, 8} {
+	for i := 0; i < 2; i++ {
 		_, ts := newTestServer(t, Options{})
 		body := estimateBody(t, tinySrc, 300, 7, map[string]any{
-			"converge": true, "batch": batch, "audit": true,
+			"converge": true, "audit": true,
 		})
 		resp, data := postJSON(t, ts.URL+"/v1/estimate", body)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch=%d: status %d: %s", batch, resp.StatusCode, data)
+			t.Fatalf("server %d: status %d: %s", i, resp.StatusCode, data)
 		}
 		var er EstimateResponse
 		if err := json.Unmarshal(data, &er); err != nil {
-			t.Fatalf("batch=%d: %v", batch, err)
+			t.Fatalf("server %d: %v", i, err)
 		}
 		if er.Runs <= 0 || er.Runs > 300 {
-			t.Fatalf("batch=%d: Runs = %d, want in (0,300]", batch, er.Runs)
+			t.Fatalf("server %d: Runs = %d, want in (0,300]", i, er.Runs)
 		}
-		if batch == 2 {
+		if i == 0 {
 			t.Logf("converged at %d runs (ceiling 300)", er.Runs)
 		}
 		bodies = append(bodies, data)
 	}
 	if !bytes.Equal(bodies[0], bodies[1]) {
-		t.Fatalf("converge responses differ across batch widths:\nbatch=2: %s\nbatch=8: %s", bodies[0], bodies[1])
+		t.Fatalf("converge responses differ across fresh servers:\n%s\n%s", bodies[0], bodies[1])
 	}
 }
 
-// TestBatchRequiresConverge: the fixed-count protocol defines its sample
-// sequentially, so requesting a batch width without converge is a client
-// error, not a silent behaviour change.
-func TestBatchRequiresConverge(t *testing.T) {
-	_, ts := newTestServer(t, Options{})
-	body := estimateBody(t, tinySrc, 40, 2, map[string]any{"batch": 4})
-	resp, data := postJSON(t, ts.URL+"/v1/estimate", body)
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status %d, want 400: %s", resp.StatusCode, data)
+// TestBatchFieldRejected: "batch" is not a request field, so a request
+// carrying it — with or without converge — is a client error naming the
+// field, answered before any simulation runs.
+func TestBatchFieldRejected(t *testing.T) {
+	s, ts := newTestServer(t, Options{})
+	for _, extra := range []map[string]any{
+		{"batch": 4},
+		{"batch": 8, "converge": true},
+	} {
+		body := estimateBody(t, tinySrc, 40, 2, extra)
+		resp, data := postJSON(t, ts.URL+"/v1/estimate", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%v: status %d, want 400: %s", extra, resp.StatusCode, data)
+		}
+		var e struct{ Error string }
+		if err := json.Unmarshal(data, &e); err != nil || !strings.Contains(e.Error, `"batch"`) {
+			t.Fatalf("%v: error should name the batch field: %s", extra, data)
+		}
 	}
-	if !strings.Contains(string(data), "requires converge") {
-		t.Fatalf("error should explain the converge requirement: %s", data)
+	snap := s.Snapshot()
+	if c := snap.Cache; c.Misses+c.Hits+c.Coalesced != 0 {
+		t.Fatalf("rejected requests reached the result cache: %+v", c)
+	}
+	for i, w := range snap.Workers {
+		if w.Jobs != 0 {
+			t.Fatalf("worker %d ran %d jobs for rejected requests", i, w.Jobs)
+		}
 	}
 }
 

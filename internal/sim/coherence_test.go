@@ -1,8 +1,6 @@
 package sim
 
 import (
-	"context"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -213,9 +211,9 @@ func TestThreeLevelEndToEnd(t *testing.T) {
 	assertAttribution(t, cfg, res)
 }
 
-// TestThreeLevelLockstep is the satellite property test on the deeper
-// hierarchy: a K=8 lockstep batch over the 3-level config reproduces, lane
-// for lane, 8 sequential single runs.
+// TestThreeLevelLockstep is the stream property test on the deeper
+// hierarchy: run i of a stream over the 3-level config is exactly a fresh
+// RunAnalysis under seedFor(i), audited run by run.
 func TestThreeLevelLockstep(t *testing.T) {
 	cfg := threeLevelConfig()
 	prog := bench.CANRdr()
@@ -223,28 +221,13 @@ func TestThreeLevelLockstep(t *testing.T) {
 	for i := range seeds {
 		seeds[i] = uint64(4000 + 13*i)
 	}
-	b, err := NewBatch(cfg, prog, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Run(context.Background(), seeds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	aud := NewAuditor()
-	for i, seed := range seeds {
+	checkStream(t, cfg, prog, seeds, func(seed uint64) *Result {
 		want, err := RunAnalysis(cfg, prog, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got[i], *want) {
-			t.Fatalf("lane %d (seed %d) diverged:\n got %s\nwant %s",
-				i, seed, goldenFingerprint(&got[i]), goldenFingerprint(want))
-		}
-		if err := aud.CheckRun(b.Lane(0).Config(), &got[i]); err != nil {
-			t.Errorf("lane %d: auditor: %v", i, err)
-		}
-	}
+		return want
+	})
 }
 
 // TestThreeLevelRewindMatchesFresh extends the Rewind bit-identity

@@ -5,6 +5,7 @@ package sim
 // invariants.
 
 import (
+	"context"
 	"testing"
 
 	"efl/internal/cache"
@@ -138,11 +139,11 @@ func TestAnalysisDeterministicAcrossConstruction(t *testing.T) {
 	// on the seed, not on allocation history.
 	prog := storeHeavy(512, 2)
 	cfg := DefaultConfig().WithEFL(500)
-	a, err := CollectAnalysisTimes(cfg, prog, 5, 42)
+	a, err := NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := CollectAnalysisTimes(cfg, prog, 5, 42)
+	b, err := NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package sim
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"efl/internal/cache"
 	"efl/internal/cpu"
@@ -96,10 +95,6 @@ func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
 // hold one Pool per worker.
 type Pool struct {
 	platforms map[string]*Multicore
-	// batches pools one lockstep Batch per (Config, width) the same way
-	// platforms pools single engines: the first GetBatch constructs the
-	// lanes, later Gets retarget them at the requested program in place.
-	batches map[string]*Batch
 	// traces caches one recorded architectural trace per program (traces
 	// are seed-independent, so one recording serves every configuration
 	// and seed), least-recently-used first out past poolTraceEntries
@@ -119,7 +114,6 @@ type Pool struct {
 func NewPool() *Pool {
 	return &Pool{
 		platforms: map[string]*Multicore{},
-		batches:   map[string]*Batch{},
 		traces:    lru.New[*isa.Program, *cpu.Trace](poolTraceEntries, poolTraceBytes, (*cpu.Trace).Bytes),
 	}
 }
@@ -163,29 +157,20 @@ func (p *Pool) Size() int { return len(p.platforms) }
 // constructs a fresh one instead of reusing corrupt hardware state.
 func (p *Pool) Quarantine(cfg Config) bool {
 	key := configKey(cfg)
-	hit := false
-	if _, ok := p.platforms[key]; ok {
-		delete(p.platforms, key)
-		p.quarantined++
-		hit = true
+	if _, ok := p.platforms[key]; !ok {
+		return false
 	}
-	for bk := range p.batches {
-		if strings.HasPrefix(bk, key+"/k=") {
-			delete(p.batches, bk)
-			p.quarantined++
-			hit = true
-		}
-	}
-	return hit
+	delete(p.platforms, key)
+	p.quarantined++
+	return true
 }
 
 // QuarantineAll removes every pooled platform, returning how many were
 // held. Used when a whole job failed and nothing the worker touched can be
 // trusted.
 func (p *Pool) QuarantineAll() int {
-	n := len(p.platforms) + len(p.batches)
+	n := len(p.platforms)
 	clear(p.platforms)
-	clear(p.batches)
 	p.quarantined += n
 	return n
 }
@@ -215,22 +200,34 @@ func (p *Pool) Get(cfg Config, progs []*isa.Program, seed uint64) (*Multicore, e
 	return m, nil
 }
 
-// CollectAnalysisTimes is the pooled, cancellable variant of the package
-// function: it performs runs analysis-mode executions of prog and returns
-// the execution times in run order. ctx is checked between runs so an
-// interrupted campaign stops within one simulation run.
-func (p *Pool) CollectAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Program, runs int, seed uint64) ([]float64, error) {
-	cfg = cfg.WithAnalysis(0)
+// analysisPlatform returns the pooled platform for prog on core 0 under
+// cfg (already forced to analysis mode), seeded with seed and replaying
+// the pooled trace of prog. Replay removes the interpreter from the run
+// loop while keeping every timing decision — and therefore the collected
+// times — bit-identical to the interpreted path.
+func (p *Pool) analysisPlatform(cfg Config, prog *isa.Program, seed uint64) (*Multicore, error) {
 	progs := make([]*isa.Program, cfg.Cores)
 	progs[0] = prog
 	m, err := p.Get(cfg, progs, seed)
 	if err != nil {
 		return nil, err
 	}
-	// Replaying the pooled trace removes the interpreter from the run loop
-	// while keeping every timing decision — and therefore the collected
-	// times — bit-identical to the interpreted path.
 	m.setReplay(p.traceFor(prog, cfg.MaxInstrPerCore))
+	return m, nil
+}
+
+// CollectAnalysisTimes performs runs analysis-mode executions of prog on
+// core 0 under cfg and returns the execution times in run order — the
+// input MBPTA needs. The platform is seeded once with seed and its PRNG
+// streams evolve across runs, so the sample is sequentially defined. ctx
+// is checked between runs so an interrupted campaign stops within one
+// simulation run; every run is checked by the attached auditor.
+func (p *Pool) CollectAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Program, runs int, seed uint64) ([]float64, error) {
+	cfg = cfg.WithAnalysis(0)
+	m, err := p.analysisPlatform(cfg, prog, seed)
+	if err != nil {
+		return nil, err
+	}
 	times := make([]float64, runs)
 	var res Result
 	for i := 0; i < runs; i++ {
@@ -239,7 +236,7 @@ func (p *Pool) CollectAnalysisTimes(ctx context.Context, cfg Config, prog *isa.P
 				return nil, err
 			}
 		}
-		if err := m.RunAnalysisInto(&res); err != nil {
+		if err := m.RunInto(&res); err != nil {
 			return nil, err
 		}
 		if err := p.aud.CheckRun(cfg, &res); err != nil {
@@ -250,43 +247,26 @@ func (p *Pool) CollectAnalysisTimes(ctx context.Context, cfg Config, prog *isa.P
 	return times, nil
 }
 
-// GetBatch returns a pooled k-lane lockstep batch for cfg running prog.
-// The first call for a (Config, k) pair constructs the lanes; later calls
-// retarget the pooled batch at prog in place, reusing every lane's cache
-// arrays. Like Get, results are bit-identical either way.
-func (p *Pool) GetBatch(cfg Config, prog *isa.Program, k int) (*Batch, error) {
-	cfg = cfg.WithAnalysis(0)
-	key := fmt.Sprintf("%s/k=%d", configKey(cfg), k)
-	if b, ok := p.batches[key]; ok {
-		if err := b.Retarget(prog, p.traceFor(prog, cfg.MaxInstrPerCore)); err != nil {
-			return nil, err
-		}
-		return b, nil
-	}
-	b, err := NewBatch(cfg, prog, k)
-	if err != nil {
-		return nil, err
-	}
-	p.batches[key] = b
-	return b, nil
-}
-
-// StreamAnalysisTimes executes analysis-mode runs of prog in pooled
-// lockstep batches of k lanes, feeding each run's execution time to emit
+// StreamAnalysisTimes executes analysis-mode runs of prog one after the
+// other on the pooled platform, feeding each run's execution time to emit
 // in run order until emit returns true (stop), maxRuns runs have been
-// consumed, or ctx is cancelled. Run i is seeded seedFor(i), so the time
-// sequence — and therefore anything a caller derives from it, such as a
-// convergence stopping point — is invariant under k: a wider batch only
-// simulates (and discards) more runs past the stopping point. Every
-// consumed run is audited exactly like the single-run collector's.
+// consumed, or ctx is cancelled (checked before every run). Run i is
+// rewound to seedFor(i), which is called exactly once per consumed run, so
+// the time sequence — and anything a caller derives from it, such as a
+// convergence stopping point — depends on the run index alone; nothing
+// runs past a stop. Every run is audited like CollectAnalysisTimes's.
 // Returns the number of runs consumed (fed to emit).
+//
+// k is ignored: it was the width of the removed lockstep engine, and the
+// parameter goes with the next change to the benchmark harness, which
+// still passes it.
 func (p *Pool) StreamAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Program, k, maxRuns int, seedFor func(run int) uint64, emit func(t float64) (stop bool)) (int, error) {
 	cfg = cfg.WithAnalysis(0)
-	b, err := p.GetBatch(cfg, prog, k)
+	m, err := p.analysisPlatform(cfg, prog, 0) // placeholder seed; every run rewinds
 	if err != nil {
 		return 0, err
 	}
-	seeds := make([]uint64, k)
+	var res Result
 	n := 0
 	for n < maxRuns {
 		if ctx != nil {
@@ -294,25 +274,16 @@ func (p *Pool) StreamAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Pr
 				return n, err
 			}
 		}
-		w := k
-		if rem := maxRuns - n; rem < w {
-			w = rem
-		}
-		for j := 0; j < w; j++ {
-			seeds[j] = seedFor(n + j)
-		}
-		results, err := b.Run(ctx, seeds[:w])
-		if err != nil {
+		m.Rewind(seedFor(n))
+		if err := m.RunInto(&res); err != nil {
 			return n, err
 		}
-		for j := range results {
-			if err := p.aud.CheckRun(cfg, &results[j]); err != nil {
-				return n, err
-			}
-			n++
-			if emit(float64(results[j].PerCore[0].Cycles)) {
-				return n, nil
-			}
+		if err := p.aud.CheckRun(cfg, &res); err != nil {
+			return n, err
+		}
+		n++
+		if emit(float64(res.PerCore[0].Cycles)) {
+			return n, nil
 		}
 	}
 	return n, nil

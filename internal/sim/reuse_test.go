@@ -198,7 +198,7 @@ func TestPoolReuses(t *testing.T) {
 		t.Errorf("pool holds %d platforms, want 2", p.Size())
 	}
 
-	want, err := CollectAnalysisTimes(cfgA, prog, 20, 9)
+	want, err := NewPool().CollectAnalysisTimes(context.Background(), cfgA, prog, 20, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestPoolCancellation(t *testing.T) {
 }
 
 // TestPoolTraceRecordedOnce pins that a pool records one program's replay
-// trace once, however many campaigns — single-run or batched — run it.
+// trace once, however many campaigns — fixed-count or streamed — run it.
 func TestPoolTraceRecordedOnce(t *testing.T) {
 	cfg := DefaultConfig().WithEFL(500)
 	prog := loopProg("once", 256, 3)

@@ -380,19 +380,44 @@ func (m *Multicore) Run() (*Result, error) {
 // RunInto is Run with a caller-owned result buffer: res's slices are
 // reused when large enough, so repeated-measurement campaigns (MBPTA
 // collects hundreds of runs per configuration) allocate nothing per run.
+// Analysis platforms run the analysis-specialised event loop
+// (analysisAdvance), everything else the general one; both give
+// bit-identical results on analysis platforms.
 func (m *Multicore) RunInto(res *Result) error {
-	m.reset()
-	// The bus is held for the arbitration slot only; the LLC itself is
-	// pipelined, so its 10-cycle access latency follows the grant without
-	// blocking other transactions.
-	hold := m.cfg.BusSlotCycles
+	return m.run(res, m.cfg.Mode == efl.Analysis)
+}
 
+// run executes one complete run into res through the analysis-specialised
+// event loop (specialised) or the general one.
+func (m *Multicore) run(res *Result, specialised bool) error {
+	m.reset()
 	// Effective cycle limit: the configured ceiling, tightened by the
 	// runner watchdog budget when one is armed. Exceeding the budget is a
 	// deterministic kill (ErrWatchdog), independent of wall-clock time.
 	limit := m.effectiveLimit()
 	m.setReplayYield(limit)
+	var err error
+	if specialised {
+		err = m.analysisAdvance(limit)
+	} else {
+		err = m.generalAdvance(limit)
+	}
+	if err != nil {
+		return err
+	}
+	m.collectInto(res)
+	return nil
+}
 
+// generalAdvance is the general event loop: every core, CRG, bus grant
+// and memory-controller issue is a candidate event. It runs until every
+// core has finished or an error occurs. Deployment runs need it; on
+// analysis platforms it is the reference analysisAdvance is pinned against.
+func (m *Multicore) generalAdvance(limit int64) error {
+	// The bus is held for the arbitration slot only; the LLC itself is
+	// pipelined, so its 10-cycle access latency follows the grant without
+	// blocking other transactions.
+	hold := m.cfg.BusSlotCycles
 	for {
 		// Candidate event times, read from the incrementally maintained
 		// caches in one pass. Scan order and strict-less comparisons
@@ -429,7 +454,7 @@ func (m *Multicore) RunInto(res *Result) error {
 				}
 			}
 			if allDone {
-				break
+				return nil
 			}
 			return fmt.Errorf("sim: deadlock: no events but cores not done")
 		}
@@ -547,9 +572,6 @@ func (m *Multicore) RunInto(res *Result) error {
 			m.emit(at, win.Core, trace.EvBusGrant, ctl.req.Addr, at-win.Arrival)
 		}
 	}
-
-	m.collectInto(res)
-	return nil
 }
 
 // stepCore advances a ready core by one pipeline step.
@@ -816,31 +838,4 @@ func RunAnalysis(cfg Config, prog *isa.Program, seed uint64) (*Result, error) {
 		return nil, err
 	}
 	return m.Run()
-}
-
-// CollectAnalysisTimes performs runs analysis-mode executions of prog with
-// derived seeds and returns the execution times in run order — the input
-// MBPTA needs. One Result buffer is reused across the whole campaign.
-func CollectAnalysisTimes(cfg Config, prog *isa.Program, runs int, seed uint64) ([]float64, error) {
-	cfg = cfg.WithAnalysis(0)
-	progs := make([]*isa.Program, cfg.Cores)
-	progs[0] = prog
-	m, err := New(cfg, progs, seed)
-	if err != nil {
-		return nil, err
-	}
-	// Trace replay + the analysis-specialised loop: bit-identical results,
-	// a fraction of the interpreter cost.
-	if tr, rerr := cpu.RecordTrace(prog, cfg.MaxInstrPerCore); rerr == nil {
-		m.setReplay(tr)
-	}
-	times := make([]float64, runs)
-	var res Result
-	for i := 0; i < runs; i++ {
-		if err := m.RunAnalysisInto(&res); err != nil {
-			return nil, err
-		}
-		times[i] = float64(res.PerCore[0].Cycles)
-	}
-	return times, nil
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"testing"
 
 	"efl/internal/cache"
@@ -394,7 +395,7 @@ func TestAnalysisRequiresSingleProgram(t *testing.T) {
 
 func TestCollectAnalysisTimes(t *testing.T) {
 	prog := loopProg("times", 128, 2)
-	times, err := CollectAnalysisTimes(DefaultConfig().WithEFL(500), prog, 20, 12)
+	times, err := NewPool().CollectAnalysisTimes(context.Background(), DefaultConfig().WithEFL(500), prog, 20, 12)
 	if err != nil {
 		t.Fatal(err)
 	}

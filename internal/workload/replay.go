@@ -2,7 +2,7 @@ package workload
 
 // The replayer compiles a decoded trace into an isa.Program, so a traced
 // workload flows through the exact machinery every hand-written kernel
-// uses — sim.Pool, the batch lockstep engine, the auditor invariants,
+// uses — sim.Pool, trace replay, the auditor invariants,
 // fault injection, coherence on shared-footprint traces. Nothing
 // downstream knows it is running a trace.
 //

@@ -144,9 +144,8 @@ func TestReplayAuditedRun(t *testing.T) {
 	}
 }
 
-// TestReplayLockstepK8 pins batch-size invariance on a traced workload:
-// K=8 lockstep produces the same analysis-time sequence as sequential
-// (K=1) replay under the same per-run seeds.
+// TestReplayLockstepK8 pins per-index seeding on a traced workload: run
+// i of a stream is exactly a fresh RunAnalysis under seedFor(i).
 func TestReplayLockstepK8(t *testing.T) {
 	data := genTrace(t, testSpec())
 	prog, err := Replay("lockstep", data)
@@ -156,23 +155,22 @@ func TestReplayLockstepK8(t *testing.T) {
 	cfg := sim.DefaultConfig().WithEFL(1000)
 	seedFor := func(i int) uint64 { return 9000 + 7*uint64(i) }
 	const runs = 24
-	collect := func(k int) []float64 {
-		var times []float64
-		n, err := sim.NewPool().StreamAnalysisTimes(nil, cfg, prog, k, runs, seedFor,
-			func(v float64) bool { times = append(times, v); return false })
-		if err != nil {
-			t.Fatalf("StreamAnalysisTimes k=%d: %v", k, err)
-		}
-		if n != runs {
-			t.Fatalf("k=%d consumed %d runs, want %d", k, n, runs)
-		}
-		return times
+	var times []float64
+	n, err := sim.NewPool().StreamAnalysisTimes(nil, cfg, prog, 8, runs, seedFor,
+		func(v float64) bool { times = append(times, v); return false })
+	if err != nil {
+		t.Fatalf("StreamAnalysisTimes: %v", err)
 	}
-	seq := collect(1)
-	batch := collect(8)
-	for i := range seq {
-		if seq[i] != batch[i] {
-			t.Fatalf("run %d: k=1 time %v != k=8 time %v", i, seq[i], batch[i])
+	if n != runs {
+		t.Fatalf("consumed %d runs, want %d", n, runs)
+	}
+	for i, got := range times {
+		want, err := sim.RunAnalysis(cfg, prog, seedFor(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != float64(want.PerCore[0].Cycles) {
+			t.Fatalf("run %d: streamed time %v != fresh run time %d", i, got, want.PerCore[0].Cycles)
 		}
 	}
 }

@@ -34,12 +34,12 @@ go test -race -count=1 $(go list ./... | grep -v internal/experiments)
 echo "== audited campaign smoke (-audit soundness invariants)"
 go run ./cmd/experiments -exp attrib -audit >/dev/null
 
-echo "== batched-campaign smoke (convergence stopping + lockstep batch engine, auditor on)"
-# A convergence-stopped fig4 campaign through the K=8 lockstep batch
-# engine with the soundness auditor armed: every lane's run is checked
+echo "== converged-campaign smoke (convergence stopping + replayed stream, auditor on)"
+# A convergence-stopped fig4 campaign through the replayed per-index
+# stream with the soundness auditor armed: every consumed run is checked
 # against invariants A1-A4, and the EVT cross-check covers the
-# convergence-stopped samples. Exit 0 means the batched path is sound.
-go run ./cmd/experiments -exp fig4 -workloads 12 -runs 150 -converge -batch 8 -audit >/dev/null
+# convergence-stopped samples. Exit 0 means the converged path is sound.
+go run ./cmd/experiments -exp fig4 -workloads 12 -runs 150 -converge -audit >/dev/null
 
 echo "== coherence-campaign smoke (3-level hierarchy + MSI shared data, invariants A1-A5)"
 # The shared-data workloads on a private-L1 -> shared-L2 -> shared-LLC
