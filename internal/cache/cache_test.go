@@ -640,6 +640,27 @@ func BenchmarkAccessMissTR(b *testing.B) {
 	}
 }
 
+// TestAccessMissZeroAlloc guards the llc_access row of BENCH_SIM.json: a
+// missing access to the time-randomised LLC (placement hash, tag scan, EoM
+// victim draw, fill, dirty writeback) allocates nothing. The walk touches
+// every line once, 2.5x the capacity, so every access misses and the
+// later ones evict.
+func TestAccessMissZeroAlloc(t *testing.T) {
+	c := New(llc(TimeRandomised), rng.New(1))
+	full := FullMask(8)
+	var la uint64
+	allocs := testing.AllocsPerRun(10000, func() {
+		c.Access(la*16, la&7 == 0, full, -1)
+		la++
+	})
+	if allocs != 0 {
+		t.Fatalf("LLC miss allocates %.2f per access", allocs)
+	}
+	if st := c.Stats(); st.Misses != st.Accesses || st.Evictions == 0 || st.Writebacks == 0 {
+		t.Fatalf("walk did not exercise the miss/evict path: %+v", st)
+	}
+}
+
 func TestAccessNoAlloc(t *testing.T) {
 	c := New(trCfg("wt", 32, 2, 16), rng.New(50))
 	full := FullMask(2)

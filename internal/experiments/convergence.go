@@ -18,10 +18,12 @@ type ConvergenceRow struct {
 	Code string
 	// Estimates maps run counts to the pWCET estimate at Options.Prob.
 	Estimates map[int]float64
-	// CollectorRuns is where the iterative protocol (grow until the
-	// estimate is stable within 2%) actually stopped.
+	// CollectorRuns is where the convergence stopping rule production
+	// campaigns use (mbpta.Stream under -converge) stopped, with the
+	// paper's 1,000-run ceiling. The name predates that rule and is kept
+	// for the artifact's JSON layout.
 	CollectorRuns int
-	// FinalEstimate is the collector's final pWCET.
+	// FinalEstimate is the pWCET of the convergence-stopped campaign.
 	FinalEstimate float64
 }
 
@@ -33,8 +35,13 @@ type ConvergenceResult struct {
 	Rows      []ConvergenceRow
 }
 
+// convergenceCeiling is the run budget of the study's convergence-stopped
+// campaign: the paper's 1,000-run ceiling (§3.3).
+const convergenceCeiling = 1000
+
 // ConvergenceStudy measures pWCET stability across sample sizes and runs
-// the full iterative collection protocol for each benchmark under EFL.
+// the convergence-stopped campaign production uses for each benchmark
+// under EFL.
 func ConvergenceStudy(opt Options, mid int64, runCounts []int, codes []string) (*ConvergenceResult, error) {
 	opt = opt.withDefaults()
 	if len(runCounts) == 0 {
@@ -50,9 +57,8 @@ func ConvergenceStudy(opt Options, mid int64, runCounts []int, codes []string) (
 			}
 			prog := spec.Build()
 			seed := campaignSeed(opt.Seed, fmt.Sprintf("%s/convergence", code))
-			// One long collection, analysed at growing prefixes: this is how
-			// the iterative protocol sees the data, and it keeps the study
-			// cheap (no re-simulation per point).
+			// One long collection, analysed at growing prefixes: it keeps
+			// the study cheap (no re-simulation per point).
 			times, err := pool.CollectAnalysisTimes(ctx, eflConfig(mid), prog, maxRuns, seed)
 			if err != nil {
 				return ConvergenceRow{}, err
@@ -68,35 +74,16 @@ func ConvergenceStudy(opt Options, mid int64, runCounts []int, codes []string) (
 				}
 				row.Estimates[n] = a.PWCET(opt.Prob)
 			}
-			// The iterative protocol over the same measurement stream.
-			cursor := 0
-			collector := &mbpta.Collector{
-				Measure: func() float64 {
-					if cursor < len(times) {
-						v := times[cursor]
-						cursor++
-						return v
-					}
-					// Past the precollected window: extend deterministically.
-					extra, err := pool.CollectAnalysisTimes(ctx, eflConfig(mid), prog, 50, seed+uint64(cursor))
-					if err != nil || len(extra) == 0 {
-						return times[len(times)-1]
-					}
-					times = append(times, extra...)
-					v := times[cursor]
-					cursor++
-					return v
-				},
-				MaxRuns:   1000,
-				Criterion: mbpta.ConvergenceCriterion{Prob: opt.Prob, Tol: 0.02},
-				Options:   mbpta.Options{SkipIIDTests: true},
-			}
-			final, used, err := collector.Run()
+			// The convergence-stopped campaign -converge runs, under the
+			// same campaign seed.
+			copt := opt
+			copt.Runs = convergenceCeiling
+			final, _, err := pooledPWCETConverged(ctx, pool, copt, eflConfig(mid), prog, seed)
 			if err != nil {
-				return ConvergenceRow{}, fmt.Errorf("%s: collector: %w", code, err)
+				return ConvergenceRow{}, fmt.Errorf("%s: converged campaign: %w", code, err)
 			}
-			row.CollectorRuns = len(used)
-			row.FinalEstimate = final.PWCET(opt.Prob)
+			row.CollectorRuns = final.Runs
+			row.FinalEstimate = final.PWCET
 			return row, nil
 		})
 	if err != nil {
@@ -107,7 +94,7 @@ func ConvergenceStudy(opt Options, mid int64, runCounts []int, codes []string) (
 }
 
 // Render prints the study: estimates normalised to the largest-sample
-// estimate, plus the collector's stopping point.
+// estimate, plus the convergence-stopped campaign's run count.
 func (r *ConvergenceResult) Render() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "MBPTA convergence under EFL (MID=%d), pWCET@%.0e normalised to the largest sample\n",
@@ -116,7 +103,7 @@ func (r *ConvergenceResult) Render() string {
 	for _, n := range r.RunCounts {
 		fmt.Fprintf(&sb, " %8d", n)
 	}
-	fmt.Fprintf(&sb, " %16s\n", "collector stops")
+	fmt.Fprintf(&sb, " %15s\n", "stream stops")
 	last := r.RunCounts[len(r.RunCounts)-1]
 	for _, row := range r.Rows {
 		base := row.Estimates[last]

@@ -252,20 +252,12 @@ func pwcetFromTimes(times []float64, name string, prob float64) (PWCETResult, er
 	}, nil
 }
 
-// analysisPWCET runs the full MBPTA campaign for prog under cfg on a fresh
-// platform: collect runs analysis-mode execution times, then fit.
-func analysisPWCET(cfg sim.Config, prog *isa.Program, runs int, seed uint64, prob float64) (PWCETResult, error) {
-	times, err := sim.NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, runs, seed)
-	if err != nil {
-		return PWCETResult{}, err
-	}
-	return pwcetFromTimes(times, prog.Name, prob)
-}
-
-// pooledPWCET is analysisPWCET on a worker's platform pool: bit-identical
-// results (pinned by sim's reuse tests) without per-campaign construction.
-// The collected sample is returned alongside the fit so callers can feed
-// it to the auditor's EVT cross-check.
+// pooledPWCET runs the fixed-count MBPTA campaign for prog under cfg on a
+// worker's platform pool: collect runs analysis-mode execution times, then
+// fit. Pooled platforms give results bit-identical to fresh ones (pinned by
+// sim's reuse tests) without per-campaign construction. The collected
+// sample is returned alongside the fit so callers can feed it to the
+// auditor's EVT cross-check.
 func pooledPWCET(ctx context.Context, pool *sim.Pool, cfg sim.Config, prog *isa.Program, runs int, seed uint64, prob float64) (PWCETResult, []float64, error) {
 	times, err := pool.CollectAnalysisTimes(ctx, cfg, prog, runs, seed)
 	if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -43,7 +44,7 @@ func TestAnalysisPWCETBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := analysisPWCET(eflConfig(500), spec.Build(), 60, 3, 1e-15)
+	res, _, err := pooledPWCET(context.Background(), sim.NewPool(), eflConfig(500), spec.Build(), 60, 3, 1e-15)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,12 +415,30 @@ func TestConvergenceStudy(t *testing.T) {
 		}
 	}
 	if row.CollectorRuns < 100 || row.CollectorRuns > 1000 {
-		t.Fatalf("collector stopped at %d runs", row.CollectorRuns)
+		t.Fatalf("stream stopped at %d runs", row.CollectorRuns)
 	}
 	if row.FinalEstimate <= 0 {
 		t.Fatal("no final estimate")
 	}
-	if !strings.Contains(res.Render(), "collector stops") {
+	// The reported stop is the production stopping rule's: the campaign
+	// -converge runs, with the paper's 1,000-run ceiling, under the
+	// study's campaign seed.
+	spec, err := specByCode("CN")
+	if err != nil {
+		t.Fatal(err)
+	}
+	copt := opt.withDefaults()
+	copt.Runs = 1000
+	conv, times, err := pooledPWCETConverged(context.Background(), copt.newPool(), copt, eflConfig(500),
+		spec.Build(), campaignSeed(copt.Seed, "CN/convergence"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if row.CollectorRuns != len(times) || row.FinalEstimate != conv.PWCET {
+		t.Fatalf("study stopped at %d runs (pWCET %v), converged campaign at %d (pWCET %v)",
+			row.CollectorRuns, row.FinalEstimate, len(times), conv.PWCET)
+	}
+	if !strings.Contains(res.Render(), "stream stops") {
 		t.Error("render broken")
 	}
 }

@@ -205,101 +205,3 @@ func (r *Result) CCDFPoint(x float64) float64 {
 	// per-run = 1-(1-pb)^(1/B) = -expm1(log1p(-pb)/B)
 	return -math.Expm1(math.Log1p(-pb) / float64(r.BlockSize))
 }
-
-// ConvergenceCriterion decides when enough runs have been collected: the
-// MBPTA convergence loop adds observations until the pWCET estimate at the
-// target probability is stable within tol (relative).
-type ConvergenceCriterion struct {
-	Prob float64 // target exceedance probability (e.g. 1e-15)
-	Tol  float64 // relative stability tolerance (e.g. 0.02)
-}
-
-// Converged reports whether estimates prev and cur agree within tolerance.
-func (c ConvergenceCriterion) Converged(prev, cur float64) bool {
-	if prev == 0 {
-		return cur == 0
-	}
-	return math.Abs(cur-prev)/math.Abs(prev) <= c.Tol
-}
-
-// Collector runs the iterative MBPTA protocol: it pulls batches of
-// execution times from a measurement source until the i.i.d. gate passes
-// and the pWCET estimate converges, mirroring the paper's "the software
-// unit under study is executed enough times according to MBPTA's
-// convergence criteria" (§3.3; 300-1,000 runs in practice).
-type Collector struct {
-	// Measure produces the execution time of one fresh run.
-	Measure func() float64
-	// InitialRuns is the first batch size (default 100).
-	InitialRuns int
-	// StepRuns is the batch added per iteration (default 50).
-	StepRuns int
-	// MaxRuns caps the total (default 1000, the paper's ceiling).
-	MaxRuns int
-	// Criterion is the convergence rule (default: 1e-15 within 2%).
-	Criterion ConvergenceCriterion
-	// Options forwards to Analyze.
-	Options Options
-}
-
-// Run executes the protocol and returns the final analysis, the collected
-// execution times, and an error if the sample never reached an analysable
-// state. A sample that exhausts MaxRuns returns the last analysis with a
-// nil error if that analysis succeeded (matching practice: the run budget
-// is the operative stop condition).
-func (c *Collector) Run() (*Result, []float64, error) {
-	if c.Measure == nil {
-		return nil, nil, fmt.Errorf("mbpta: Collector.Measure is nil")
-	}
-	if c.InitialRuns == 0 {
-		c.InitialRuns = 100
-	}
-	if c.StepRuns == 0 {
-		c.StepRuns = 50
-	}
-	if c.MaxRuns == 0 {
-		c.MaxRuns = 1000
-	}
-	if c.Criterion.Prob == 0 {
-		c.Criterion = ConvergenceCriterion{Prob: 1e-15, Tol: 0.02}
-	}
-	// Fast-fail configurations the run budget can never satisfy: an
-	// explicit BlockSize so large that even MaxRuns observations produce
-	// fewer than MinBlocks blocks would otherwise burn the whole budget
-	// before surfacing the error.
-	if c.Options.BlockSize != 0 {
-		capOpt := c.Options
-		capOpt.fill(c.MaxRuns)
-		if err := capOpt.validate(c.MaxRuns); err != nil {
-			return nil, nil, fmt.Errorf("mbpta: unsatisfiable with MaxRuns=%d: %w", c.MaxRuns, err)
-		}
-	}
-	var times []float64
-	for len(times) < c.InitialRuns {
-		times = append(times, c.Measure())
-	}
-	var prevEst float64
-	var lastRes *Result
-	var lastErr error
-	havePrev := false
-	for {
-		res, err := Analyze(times, c.Options)
-		lastRes, lastErr = res, err
-		if err == nil {
-			est := res.PWCET(c.Criterion.Prob)
-			if havePrev && c.Criterion.Converged(prevEst, est) {
-				return res, times, nil
-			}
-			prevEst, havePrev = est, true
-		}
-		if len(times) >= c.MaxRuns {
-			if lastErr != nil {
-				return nil, times, fmt.Errorf("mbpta: exhausted %d runs: %w", c.MaxRuns, lastErr)
-			}
-			return lastRes, times, nil
-		}
-		for i := 0; i < c.StepRuns && len(times) < c.MaxRuns; i++ {
-			times = append(times, c.Measure())
-		}
-	}
-}

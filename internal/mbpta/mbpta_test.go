@@ -252,55 +252,6 @@ func TestCCDFPointInvertsPWCET(t *testing.T) {
 	}
 }
 
-func TestCollectorConverges(t *testing.T) {
-	src := rng.New(8)
-	truth := Gumbel{Mu: 50000, Beta: 400}
-	measure := func() float64 {
-		u := src.Float64()
-		for u == 0 {
-			u = src.Float64()
-		}
-		return truth.Quantile(u)
-	}
-	c := &Collector{Measure: measure}
-	res, times, err := c.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(times) < 100 || len(times) > 1000 {
-		t.Fatalf("collector used %d runs", len(times))
-	}
-	if res.Runs != len(times) && res.Runs > len(times) {
-		t.Fatalf("result runs %d vs collected %d", res.Runs, len(times))
-	}
-	est := res.PWCET(1e-15)
-	// Compare with the analytic per-run deep-tail quantile.
-	analytic := truth.QuantileExceedance(1e-15)
-	if est < truth.Mu || est > analytic*2 {
-		t.Fatalf("pWCET %v implausible (analytic %v)", est, analytic)
-	}
-}
-
-func TestCollectorNilMeasure(t *testing.T) {
-	c := &Collector{}
-	if _, _, err := c.Run(); err == nil {
-		t.Fatal("nil Measure accepted")
-	}
-}
-
-func TestConvergenceCriterion(t *testing.T) {
-	c := ConvergenceCriterion{Prob: 1e-15, Tol: 0.02}
-	if !c.Converged(100, 101) {
-		t.Fatal("1% change should converge at 2% tol")
-	}
-	if c.Converged(100, 105) {
-		t.Fatal("5% change should not converge at 2% tol")
-	}
-	if !c.Converged(0, 0) || c.Converged(0, 1) {
-		t.Fatal("zero-prev edge cases broken")
-	}
-}
-
 func TestOptionsFillDefaults(t *testing.T) {
 	o := Options{}
 	o.fill(400)

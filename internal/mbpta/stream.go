@@ -5,26 +5,27 @@ import (
 	"math"
 )
 
+// The stopping rule: the stream has converged once stableRefits
+// consecutive refits each land within relative tolerance stableTol of
+// their predecessor. One agreeing pair is noise at block granularity;
+// requiring a run of them is what calibrates the stopped estimate to land
+// within the A4 cross-check threshold of a fixed-count analysis (see
+// stream_test.go).
+const (
+	stableTol    = 0.02
+	stableRefits = 3
+)
+
 // StreamOptions configures the incremental MBPTA estimator. The embedded
-// Options are the same knobs Analyze takes; the additional fields define
-// the convergence stopping rule.
+// Options are the same knobs Analyze takes; the additional fields bound
+// the campaign the stopping rule runs over.
 type StreamOptions struct {
 	Options
 	// Prob is the per-run exceedance probability the stopping rule tracks
 	// (default 1e-15, the paper's headline probability).
 	Prob float64
-	// Tol is the relative stability tolerance between successive pWCET
-	// refits (default 0.02, matching ConvergenceCriterion's default).
-	Tol float64
-	// Stable is how many consecutive refits must stay within Tol of their
-	// predecessor before the stream declares convergence (default 3). One
-	// agreeing pair is noise at block granularity; requiring a run of them
-	// is what calibrates the stopped estimate to land within the A4
-	// cross-check threshold of a fixed-count analysis (see stream_test.go).
-	Stable int
 	// MinRuns is the minimum number of observations before any estimate
-	// is produced or convergence declared (default 100, the Collector's
-	// initial batch).
+	// is produced or convergence declared (default 100).
 	MinRuns int
 	// MaxRuns, when non-zero, caps the stream: Add reports done once the
 	// cap is reached even without convergence (the paper's 1,000-run
@@ -38,15 +39,6 @@ func (o *StreamOptions) fill() error {
 	}
 	if err := checkProb(o.Prob); err != nil {
 		return err
-	}
-	if o.Tol == 0 {
-		o.Tol = 0.02
-	}
-	if o.Tol < 0 {
-		return fmt.Errorf("mbpta: negative convergence tolerance %g", o.Tol)
-	}
-	if o.Stable == 0 {
-		o.Stable = 3
 	}
 	if o.MinRuns == 0 {
 		o.MinRuns = 100
@@ -83,11 +75,10 @@ func (o *StreamOptions) fill() error {
 
 // Stream folds execution times one at a time into an online block-maxima
 // Gumbel fit, refitting once per completed block and stopping when the
-// pWCET estimate at StreamOptions.Prob has been stable for Stable
-// consecutive refits. It is the incremental counterpart of Collector: a
-// campaign drives Add after every simulation run and stops producing runs
-// as soon as Add reports done, instead of re-analysing a growing sample in
-// fixed-size batches.
+// pWCET estimate at StreamOptions.Prob has been stable for stableRefits
+// consecutive refits. It is MBPTA's convergence criterion (§3.3: run the
+// unit "enough times"): a campaign drives Add after every simulation run
+// and stops producing runs as soon as Add reports done.
 //
 // Add is O(1) outside block boundaries and O(blocks) at each boundary (one
 // Gumbel ML refit over the accumulated maxima), so a campaign of n runs
@@ -109,7 +100,7 @@ type Stream struct {
 
 	est       float64 // latest pWCET estimate at opt.Prob
 	haveEst   bool
-	stable    int // consecutive refits within Tol of their predecessor
+	stable    int // consecutive refits within stableTol of their predecessor
 	converged bool
 }
 
@@ -154,13 +145,13 @@ func (s *Stream) refit() {
 	if !ok {
 		return
 	}
-	if s.haveEst && converged(s.est, cur, s.opt.Tol) {
+	if s.haveEst && converged(s.est, cur) {
 		s.stable++
 	} else {
 		s.stable = 0
 	}
 	s.est, s.haveEst = cur, true
-	if s.stable >= s.opt.Stable {
+	if s.stable >= stableRefits {
 		s.converged = true
 	}
 }
@@ -190,11 +181,13 @@ func (s *Stream) estimate() (float64, bool) {
 	return v, true
 }
 
-func converged(prev, cur, tol float64) bool {
+// converged reports whether successive estimates prev and cur agree
+// within stableTol (relative to prev).
+func converged(prev, cur float64) bool {
 	if prev == 0 {
 		return cur == 0
 	}
-	return math.Abs(cur-prev)/math.Abs(prev) <= tol
+	return math.Abs(cur-prev)/math.Abs(prev) <= stableTol
 }
 
 // Converged reports whether the stopping rule has fired.

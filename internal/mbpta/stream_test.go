@@ -50,35 +50,12 @@ func TestAnalyzeValidatesTinySample(t *testing.T) {
 	}
 }
 
-// TestCollectorFastFailsUnsatisfiable: a Collector whose MaxRuns budget can
-// never yield MinBlocks blocks must fail before spending a single
-// measurement, not after burning the whole budget.
-func TestCollectorFastFailsUnsatisfiable(t *testing.T) {
-	calls := 0
-	c := &Collector{
-		Measure: func() float64 { calls++; return float64(calls) },
-		MaxRuns: 1000,
-		Options: Options{BlockSize: 200}, // 1000/200 = 5 blocks < 20
-	}
-	_, _, err := c.Run()
-	if err == nil {
-		t.Fatal("Collector accepted an unsatisfiable BlockSize/MaxRuns combination")
-	}
-	if !strings.Contains(err.Error(), "unsatisfiable with MaxRuns=1000") {
-		t.Fatalf("unexpected error: %v", err)
-	}
-	if calls != 0 {
-		t.Fatalf("Collector spent %d measurements before failing", calls)
-	}
-}
-
 func TestNewStreamValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		opt  StreamOptions
 	}{
 		{"block size 1", StreamOptions{Options: Options{BlockSize: 1}}},
-		{"negative tol", StreamOptions{Tol: -0.1}},
 		{"max below min", StreamOptions{MinRuns: 100, MaxRuns: 50}},
 		{"unsatisfiable cap", StreamOptions{Options: Options{BlockSize: 50}, MaxRuns: 100}},
 		{"bad prob", StreamOptions{Prob: 2}},
@@ -87,6 +64,21 @@ func TestNewStreamValidation(t *testing.T) {
 		if _, err := NewStream(tc.opt); err == nil {
 			t.Errorf("%s: NewStream accepted %+v", tc.name, tc.opt)
 		}
+	}
+}
+
+// TestConverged pins the stopping rule's pairwise check: relative change
+// within stableTol of the previous estimate, with a zero previous estimate
+// agreeing only with zero.
+func TestConverged(t *testing.T) {
+	if !converged(100, 101) {
+		t.Fatal("1% change should converge at 2% tol")
+	}
+	if converged(100, 105) {
+		t.Fatal("5% change should not converge at 2% tol")
+	}
+	if !converged(0, 0) || converged(0, 1) {
+		t.Fatal("zero-prev edge cases broken")
 	}
 }
 
@@ -203,32 +195,31 @@ func TestStreamDegenerate(t *testing.T) {
 	if est, ok := s.Estimate(); !ok || est != 42 {
 		t.Fatalf("Estimate() = %v, %v; want 42", est, ok)
 	}
-	// BlockSize 5, MinBlocks 20, Stable 3: estimate at run 100, stability
-	// run complete 3 blocks later.
+	// BlockSize 5, MinBlocks 20, stableRefits 3: estimate at run 100,
+	// stability run complete 3 blocks later.
 	if s.Runs() != 115 {
 		t.Fatalf("converged at %d runs, want 115", s.Runs())
 	}
 }
 
-// TestStreamMaxRunsStops: a sample too erratic to converge under a strict
-// tolerance stops at the MaxRuns ceiling with Done() true and Converged()
-// false.
+// TestStreamMaxRunsStops: a steadily growing sample, whose estimate moves
+// by far more than the stopping rule's tolerance at every refit, stops at
+// the MaxRuns ceiling with Done() true and Converged() false.
 func TestStreamMaxRunsStops(t *testing.T) {
-	s, err := NewStream(StreamOptions{Tol: 1e-12, Stable: 50, MaxRuns: 150})
+	s, err := NewStream(StreamOptions{MaxRuns: 150})
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := rng.New(31)
 	n := 0
 	for !s.Done() {
-		s.Add(src.Float64() * 1e6)
+		s.Add(1000 * math.Pow(1.05, float64(n)))
 		n++
 		if n > 150 {
 			t.Fatal("stream ran past MaxRuns")
 		}
 	}
 	if s.Converged() {
-		t.Fatal("erratic stream converged under Tol=1e-12")
+		t.Fatal("growing stream converged")
 	}
 	if s.Runs() != 150 {
 		t.Fatalf("stopped at %d runs, want MaxRuns=150", s.Runs())
@@ -240,7 +231,7 @@ func TestStreamMaxRunsStops(t *testing.T) {
 // incremental bookkeeping adds no drift.
 func TestStreamEstimateMatchesBatchRefit(t *testing.T) {
 	times := gumbelSample(rng.New(41), Gumbel{Mu: 3000, Beta: 90}, 300)
-	s, err := NewStream(StreamOptions{Tol: 1e-12, Stable: 1000}) // never converge
+	s, err := NewStream(StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -187,6 +187,24 @@ func chiSquare(counts []int, total int) float64 {
 	return x2
 }
 
+// TestSetZeroAlloc guards the hash_set row of BENCH_SIM.json: the
+// placement hash allocates nothing.
+func TestSetZeroAlloc(t *testing.T) {
+	h := New(512, 12345)
+	var addr uint64
+	sink := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		sink += h.Set(addr)
+		addr += 31
+	})
+	if allocs != 0 {
+		t.Fatalf("Set allocates %.2f per call", allocs)
+	}
+	if sink == 0 {
+		t.Fatal("hash mapped every address to set 0")
+	}
+}
+
 func BenchmarkHashSet(b *testing.B) {
 	h := New(512, 12345)
 	for i := 0; i < b.N; i++ {

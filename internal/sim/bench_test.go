@@ -8,8 +8,11 @@ package sim
 //
 //	go test -run XXX -bench . -benchmem ./internal/sim/
 //
-// The experiments binary (-exp bench) runs the campaign-level ones
-// programmatically and emits BENCH_SIM.json for regression tracking.
+// These benchmarks are not what BENCH_SIM.json records: the experiments
+// binary (-exp bench, experiments.BenchSuite) re-implements its rows on
+// the CA kernel. The zero allocs/op of every row is pinned
+// deterministically by TestRunIntoZeroAlloc (golden_test.go), cache's
+// TestAccessMissZeroAlloc and rnghash's TestSetZeroAlloc.
 
 import (
 	"testing"

@@ -140,23 +140,38 @@ func TestGoldenDeployment(t *testing.T) {
 
 // TestRunIntoZeroAlloc pins the other half of the observability contract:
 // with the audit off, the fully instrumented RunInto still allocates
-// nothing per run.
+// nothing per run — in deployment, in analysis mode (the analysis_run row
+// of BENCH_SIM.json) and on the 3-level hierarchy (multilevel_run).
 func TestRunIntoZeroAlloc(t *testing.T) {
 	prog := goldenProg()
-	m, err := New(DefaultConfig().WithEFL(500), []*isa.Program{prog, prog, prog, prog}, 1)
-	if err != nil {
-		t.Fatal(err)
+	quad := []*isa.Program{prog, prog, prog, prog}
+	cases := []struct {
+		name  string
+		cfg   Config
+		progs []*isa.Program
+	}{
+		{"deployment", DefaultConfig().WithEFL(500), quad},
+		{"analysis", DefaultConfig().WithEFL(500).WithAnalysis(0), []*isa.Program{prog, nil, nil, nil}},
+		{"multilevel", threeLevelConfig(), quad},
 	}
-	var res Result
-	if err := m.RunInto(&res); err != nil { // warm up buffers
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(3, func() {
-		if err := m.RunInto(&res); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("instrumented RunInto allocates %.1f per run", allocs)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := New(tc.cfg, tc.progs, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var res Result
+			if err := m.RunInto(&res); err != nil { // warm up buffers
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(3, func() {
+				if err := m.RunInto(&res); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("instrumented RunInto allocates %.1f per run", allocs)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # verify.sh — the repo's verification gate: static checks, full build,
-# full test suite, and the race detector on the simulation hot-path
-# packages (the ones the performance work touches). Run from anywhere:
+# full test suite, the race detector on the simulation hot-path packages
+# (the ones the performance work touches), the campaign, service and fleet
+# smokes, and the bench gate. CI runs this script, then the perfbench
+# oracle. Run from anywhere:
 #
 #   ./scripts/verify.sh          # everything (full test suite is slow: ~2min)
 #   SHORT=1 ./scripts/verify.sh  # skip the long experiments suite
@@ -31,15 +33,23 @@ echo "== go test -race (all packages except the long experiments campaigns)"
 # the gate's runtime for no extra interleaving coverage.
 go test -race -count=1 $(go list ./... | grep -v internal/experiments)
 
-echo "== audited campaign smoke (-audit soundness invariants)"
-go run ./cmd/experiments -exp attrib -audit >/dev/null
+echo "== audited campaign smoke (artifacts + parallel engine + -audit soundness invariants)"
+smokedir=$(mktemp -d)
+go run ./cmd/experiments -exp iid -runs 40 -parallel 2 -audit -out "$smokedir" >/dev/null
+test -s "$smokedir/iid.json" || { echo "iid: artifact missing"; exit 1; }
+grep -q '"audit"' "$smokedir/iid.json" || { echo "iid: artifact missing audit block"; exit 1; }
+go run ./cmd/experiments -exp attrib -audit -out "$smokedir" >/dev/null
+test -s "$smokedir/attrib.json" || { echo "attrib: artifact missing"; exit 1; }
 
 echo "== converged-campaign smoke (convergence stopping + replayed stream, auditor on)"
 # A convergence-stopped fig4 campaign through the replayed per-index
 # stream with the soundness auditor armed: every consumed run is checked
 # against invariants A1-A4, and the EVT cross-check covers the
 # convergence-stopped samples. Exit 0 means the converged path is sound.
-go run ./cmd/experiments -exp fig4 -workloads 12 -runs 150 -converge -audit >/dev/null
+go run ./cmd/experiments -exp fig4 -workloads 12 -runs 150 -converge -audit -out "$smokedir" >/dev/null
+test -s "$smokedir/fig4.json" || { echo "fig4: artifact missing"; exit 1; }
+grep -q '"audit"' "$smokedir/fig4.json" || { echo "fig4: artifact missing audit block"; exit 1; }
+rm -rf "$smokedir"
 
 echo "== coherence-campaign smoke (3-level hierarchy + MSI shared data, invariants A1-A5)"
 # The shared-data workloads on a private-L1 -> shared-L2 -> shared-LLC
