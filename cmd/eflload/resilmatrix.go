@@ -85,9 +85,9 @@ type resilNodeSummary struct {
 
 // resilMatrixPayload is the artifact body (kind "resilmatrix").
 type resilMatrixPayload struct {
-	Nodes          int                `json:"nodes"`
-	PlanTimeoutMS  int                `json:"plan_timeout_ms"`
-	HopGraceMS     int                `json:"hop_grace_ms"`
+	Nodes         int                `json:"nodes"`
+	PlanTimeoutMS int                `json:"plan_timeout_ms"`
+	HopGraceMS    int                `json:"hop_grace_ms"`
 	Scenarios     []resilScenario    `json:"scenarios"`
 	FailFastProbe failFastProbe      `json:"fail_fast_probe"`
 	AllHandled    bool               `json:"all_handled"`

@@ -132,7 +132,7 @@ type Stats struct {
 	Writebacks  uint64 // dirty lines displaced (demand or forced)
 	ForcedEvict uint64 // evictions caused by force-miss (CRG) requests
 	Flushes     uint64 // whole-cache flushes (RII changes)
-	MemoHits    uint64 // hits answered by the last-hit memo (subset of Hits)
+	MemoHits    uint64 // committed hits the memo or memo table answered (subset of Hits)
 }
 
 // MissRatio returns Misses/Accesses, or 0 when there were no accesses.
@@ -153,6 +153,17 @@ type AccessResult struct {
 
 // Cache is a single set-associative cache instance. It is not safe for
 // concurrent use; the simulator serialises accesses by construction.
+//
+// Every demand access, at every level, is one search, then one hit or one
+// fill. The search (find) tries the last-hit memo, then the verified memo
+// table, then the set scan; it records nothing. The hit (commitHit) counts
+// the access and the hit — and a MemoHit when the memo or the table
+// answered — dirties the line on a write and touches LRU recency. The fill
+// (fill) counts the access and the miss, draws the victim and installs the
+// line. Access composes the three in one call for the L1s and the
+// intermediate levels; the LLC splits them as Lookup, then CommitHit or
+// Fill, because an EFL stall can fall between the search and the fill;
+// AccessNoAlloc searches and commits hits only.
 //
 // Placement state is inlined rather than held behind the rnghash.Placement
 // interface: the set computation runs on every access of every simulated
@@ -201,9 +212,9 @@ type Cache struct {
 	memoGen     uint16
 	// tagFaulted records that a fault-injected fill installed a corrupted
 	// tag since the last flush. Corrupt tags can collide with resident
-	// lines, breaking the unique-tags-per-set invariant the table probe and
-	// the scans' first-match early exit rely on; while set, both fall back
-	// to the exhaustive last-match scan.
+	// lines, breaking the unique-tags-per-set invariant the table probe
+	// relies on; while set, the table is bypassed and the set scan (which
+	// returns the last match in way order) answers.
 	tagFaulted bool
 
 	// validCount/dirtyCount track resident and dirty lines so Flush is O(1)
@@ -298,7 +309,7 @@ func New(cfg Config, rnd rng.Stream) *Cache {
 // which is what makes platform pooling (sim.Multicore.Reuse) cheap.
 func (c *Cache) Reseed(seed uint64) {
 	c.rnd.Reseed(seed)
-	clear(c.lines)
+	c.Flush()
 	for i := range c.lines {
 		c.lines[i].owner = -1
 	}
@@ -307,10 +318,6 @@ func (c *Cache) Reseed(seed uint64) {
 	}
 	c.lruClock = 0
 	c.synthTag = 0
-	c.validCount = 0
-	c.dirtyCount = 0
-	c.memoLine = memoNone
-	c.invalidateMemoTab()
 	c.stats = Stats{}
 	if c.cfg.Policy == TimeRandomised {
 		c.hash.Reseed(rnghash.NewRII(c.rnd))
@@ -418,244 +425,127 @@ func (c *Cache) Flush() int {
 // Contains reports whether the line holding addr is currently resident.
 // It performs no state change and records no statistics (a debug/test probe,
 // not a hardware access).
-func (c *Cache) Contains(addr uint64) bool {
-	la := c.LineAddr(addr)
+func (c *Cache) Contains(addr uint64) bool { return c.resident(c.LineAddr(addr)) != nil }
+
+// resident returns the valid line tagged la in its set, or nil. It is the
+// unmasked, memo-free scan of the non-demand probes (Contains, Invalidate,
+// Downgrade); demand accesses go through find.
+func (c *Cache) resident(la uint64) *line {
 	set := c.sets[c.setIndex(la)]
 	for i := range set {
 		if set[i].valid && set[i].tag == la {
-			return true
+			return &set[i]
 		}
 	}
-	return false
+	return nil
 }
 
-// ProbeResult is the outcome of a non-mutating lookup.
-type ProbeResult struct {
-	Hit     bool // the line is resident within the masked ways
-	FreeWay bool // a fill could use an invalid masked way (no eviction)
-}
-
-// Probe looks up addr within mask without changing any state and without
-// recording statistics. The EFL hardware uses this distinction: a miss
-// that can fill an invalid way performs no eviction and therefore is not
-// gated by the eviction-allowed bit.
-func (c *Cache) Probe(addr uint64, mask WayMask) ProbeResult {
-	lk := c.Lookup(addr, mask)
-	return ProbeResult{Hit: lk.Hit, FreeWay: lk.FreeWay}
-}
-
-// Lookup is the fused probe: one placement hash and one tag scan produce
-// everything both the hit path and the miss path of an LLC transaction
-// need. It changes no state and records no statistics; complete it with
-// CommitHit (hits) or Fill (misses). The set index and line address carried
-// in the Lookup stay valid across an EFL eviction-allowed stall (the RII
-// cannot change mid-run), so the fill does not hash or scan again.
+// Lookup is the outcome of the one tag search (find): everything both the
+// hit path and the miss path of a transaction need. Complete it with
+// CommitHit (hits) or Fill (misses). The set index and line address it
+// carries stay valid across an EFL eviction-allowed stall (the RII cannot
+// change mid-run), so the fill does not hash or scan again.
 type Lookup struct {
 	Hit     bool // the line is resident within the masked ways
 	FreeWay bool // a fill could use an invalid masked way (no eviction)
+	memo    bool // the hit was answered by the memo or the memo table
 	way     int32
 	set     int32
 	line    uint64
 }
 
-// Lookup performs the fused non-mutating lookup of addr within mask.
-// FreeWay is only meaningful when Hit is false (the miss path is the only
-// consumer); a memo-answered hit does not compute it.
+// Lookup searches for addr within mask without recording statistics.
+// FreeWay is computed on misses only (the miss path is its only consumer).
 func (c *Cache) Lookup(addr uint64, mask WayMask) Lookup {
 	if mask == 0 {
 		panic("cache: lookup with empty way mask")
 	}
-	la := c.LineAddr(addr)
-	if c.memoHit(la, mask) {
-		c.stats.MemoHits++
-		return Lookup{Hit: true, way: c.memoWay, set: c.memoSet, line: la}
-	}
-	// Table-answered hits behave like scan hits (nothing recorded — Probe
-	// must stay statistics-free; MemoHits tracks the single-entry memo).
-	if si, wi, ok := c.tabProbe(la, mask); ok {
-		c.setMemo(la, si, wi)
-		return Lookup{Hit: true, way: int32(wi), set: int32(si), line: la}
-	}
-	si := c.setIndex(la)
-	set := c.sets[si]
-	lk := Lookup{way: -1, set: int32(si), line: la}
-	for wi := range set {
-		if mask&(1<<uint(wi)) == 0 {
-			continue
-		}
-		if !set[wi].valid {
-			lk.FreeWay = true
-			continue
-		}
-		if set[wi].tag == la {
-			lk.Hit = true
-			lk.way = int32(wi)
-			if !c.tagFaulted {
-				// Tags within a set are unique, so the first match is the
-				// only match, and FreeWay is not consumed on hits.
-				break
-			}
-		}
-	}
-	if lk.Hit {
-		c.setMemo(la, si, int(lk.way))
-	}
-	return lk
+	return c.find(c.LineAddr(addr), mask)
 }
 
-// CommitHit completes a hitting Lookup as a demand access: statistics are
-// recorded, a write dirties the line, and LRU recency is maintained on the
-// TD policy. EoM replacement is stateless on hits (§3.3).
+// find is the one tag search of a demand access: the single-entry memo,
+// then the verified memo table, then the set scan. It records no
+// statistics; a hit becomes the memoed line.
+func (c *Cache) find(la uint64, mask WayMask) Lookup {
+	if c.memoHit(la, mask) {
+		return Lookup{Hit: true, memo: true, way: c.memoWay, set: c.memoSet, line: la}
+	}
+	if si, wi, ok := c.tabProbe(la, mask); ok {
+		c.setMemo(la, si, wi)
+		return Lookup{Hit: true, memo: true, way: int32(wi), set: int32(si), line: la}
+	}
+	si := c.setIndex(la)
+	wi := scan(c.sets[si], la, mask)
+	if wi < 0 {
+		return Lookup{FreeWay: c.freeWay(si, mask) >= 0, way: -1, set: int32(si), line: la}
+	}
+	c.setMemo(la, si, wi)
+	return Lookup{Hit: true, way: int32(wi), set: int32(si), line: la}
+}
+
+// scan searches set for a valid line tagged la within mask and returns its
+// way, or -1. It is the only demand tag-scan loop. Tags within a set are
+// unique, so any match is the only match — unless a fault-injected fill
+// installed a corrupt tag that collides with a resident line. The scan
+// runs from the highest way down, so the match it returns is then the last
+// one in way order, the line the exhaustive scan would settle on.
+func scan(set []line, la uint64, mask WayMask) int {
+	for wi := len(set) - 1; wi >= 0; wi-- {
+		if mask&(1<<uint(wi)) != 0 && set[wi].valid && set[wi].tag == la {
+			return wi
+		}
+	}
+	return -1
+}
+
+// CommitHit completes a hitting Lookup as a demand access.
 func (c *Cache) CommitHit(lk Lookup, write bool) {
 	if !lk.Hit {
 		panic("cache: CommitHit on a missing lookup")
 	}
+	c.commitHit(int(lk.set), int(lk.way), write, lk.memo)
+}
+
+// commitHit is the one hit commit: statistics are recorded (MemoHits when
+// the memo or the memo table answered), a write dirties the line, and LRU
+// recency is maintained on the TD policy. EoM replacement is stateless on
+// hits (§3.3).
+func (c *Cache) commitHit(si, wi int, write, memo bool) {
 	c.stats.Accesses++
 	c.stats.Hits++
+	if memo {
+		c.stats.MemoHits++
+	}
 	if write {
-		l := &c.sets[lk.set][lk.way]
+		l := &c.sets[si][wi]
 		if !l.dirty {
 			l.dirty = true
 			c.dirtyCount++
 		}
 	}
 	if c.modulo {
-		c.touchLRU(int(lk.set), int(lk.way))
+		c.touchLRU(si, wi)
 	}
 }
 
-// Fill completes a missing Lookup as a demand allocation (write-allocate):
-// statistics are recorded, a victim is selected within mask at fill time
-// (set contents may have changed during an EFL stall — CRG force-misses
-// can occupy ways — so valid bits are re-read here, exactly as a re-scan
-// would) and the line is installed. The PRNG draw is the same single
-// victim draw Access performs.
+// Fill completes a missing Lookup as a demand allocation.
 func (c *Cache) Fill(lk Lookup, write bool, mask WayMask, owner int) AccessResult {
+	return c.fill(int(lk.set), lk.line, write, mask, owner)
+}
+
+// fill is the one fill body: line la is allocated into set si
+// (write-allocate). Statistics are recorded, a victim is drawn within mask
+// at fill time (set contents may have changed during an EFL stall — CRG
+// force-misses can occupy ways — so valid bits are re-read here, exactly
+// as a re-scan would), the displaced line is reported, the armed tag-flip
+// fault may corrupt the installed tag, and the new line becomes the
+// memoed line.
+func (c *Cache) fill(si int, la uint64, write bool, mask WayMask, owner int) AccessResult {
 	c.stats.Accesses++
 	c.stats.Misses++
-	si := int(lk.set)
 	victim := c.pickVictim(si, mask)
 	res := AccessResult{}
 	v := &c.sets[si][victim]
-	if v.valid {
-		res.Evicted = true
-		res.EvictedAddr = v.tag
-		res.EvictedDirty = v.dirty
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writebacks++
-			c.dirtyCount--
-		}
-	} else {
-		c.validCount++
-	}
-	tag := lk.line
-	if c.flipPeriod > 0 && c.fillTagFault() {
-		tag ^= 1 << c.flipBit
-		c.tagFaulted = true
-	}
-	v.tag = tag
-	v.valid = true
-	v.dirty = write
-	v.owner = int8(owner)
-	if write {
-		c.dirtyCount++
-	}
-	if tag == lk.line {
-		c.setMemo(lk.line, si, victim)
-	} else {
-		// The installed tag is corrupt: hardware would only rediscover the
-		// line by scanning its own set, so the cross-set memo must not
-		// advertise it under the flipped address.
-		c.memoLine = memoNone
-	}
-	if c.modulo {
-		c.touchLRU(si, victim)
-	}
-	return res
-}
-
-// Access performs a demand read (write=false) or write (write=true) of the
-// line containing addr, restricted to the ways enabled in mask, on behalf
-// of partition owner (use -1 when partitioning is off). On a miss the line
-// is allocated (write-allocate) and a victim may be displaced.
-func (c *Cache) Access(addr uint64, write bool, mask WayMask, owner int) AccessResult {
-	if mask == 0 {
-		panic("cache: access with empty way mask")
-	}
-	la := c.LineAddr(addr)
-
-	// Same-line fast path: the memoed line answers the access without the
-	// placement hash or the tag scan. Identical outcome to the scan below
-	// (same stats, same dirty transition, same LRU touch, no PRNG draw).
-	if c.memoHit(la, mask) {
-		c.stats.Accesses++
-		c.stats.Hits++
-		c.stats.MemoHits++
-		if write {
-			l := &c.lines[c.memoIdx]
-			if !l.dirty {
-				l.dirty = true
-				c.dirtyCount++
-			}
-		}
-		if c.modulo {
-			c.touchLRU(int(c.memoSet), int(c.memoWay))
-		}
-		return AccessResult{Hit: true}
-	}
-
-	// Memo-table fast path: a verified table hit is the hit the scan below
-	// would find (same set, same way), with the same stats, dirty
-	// transition and LRU touch.
-	if si, wi, ok := c.tabProbe(la, mask); ok {
-		c.stats.Accesses++
-		c.stats.Hits++
-		c.stats.MemoHits++
-		if write {
-			l := &c.sets[si][wi]
-			if !l.dirty {
-				l.dirty = true
-				c.dirtyCount++
-			}
-		}
-		c.setMemo(la, si, wi)
-		if c.modulo {
-			c.touchLRU(si, wi)
-		}
-		return AccessResult{Hit: true}
-	}
-
-	si := c.setIndex(la)
-	set := c.sets[si]
-	c.stats.Accesses++
-
-	// Lookup across the allowed ways.
-	for wi := range set {
-		if mask&(1<<uint(wi)) == 0 {
-			continue
-		}
-		if set[wi].valid && set[wi].tag == la {
-			c.stats.Hits++
-			if write && !set[wi].dirty {
-				set[wi].dirty = true
-				c.dirtyCount++
-			}
-			c.setMemo(la, si, wi)
-			// EoM random replacement is stateless on hits (§3.3); only
-			// LRU updates its recency stack.
-			if c.modulo {
-				c.touchLRU(si, wi)
-			}
-			return AccessResult{Hit: true}
-		}
-	}
-
-	// Miss: allocate. Prefer an invalid way inside the mask.
-	c.stats.Misses++
-	victim := c.pickVictim(si, mask)
-	res := AccessResult{}
-	v := &set[victim]
 	if v.valid {
 		res.Evicted = true
 		res.EvictedAddr = v.tag
@@ -683,13 +573,46 @@ func (c *Cache) Access(addr uint64, write bool, mask WayMask, owner int) AccessR
 	if tag == la {
 		c.setMemo(la, si, victim)
 	} else {
-		// Corrupt install (fault injection): see Fill.
+		// The installed tag is corrupt: hardware would only rediscover the
+		// line by scanning its own set, so the cross-set memo must not
+		// advertise it under the flipped address.
 		c.memoLine = memoNone
 	}
 	if c.modulo {
 		c.touchLRU(si, victim)
 	}
 	return res
+}
+
+// Access performs a demand read (write=false) or write (write=true) of the
+// line containing addr, restricted to the ways enabled in mask, on behalf
+// of partition owner (use -1 when partitioning is off). On a miss the line
+// is allocated (write-allocate) and a victim may be displaced. It is the
+// transaction Lookup followed by CommitHit or Fill performs, in one call.
+func (c *Cache) Access(addr uint64, write bool, mask WayMask, owner int) AccessResult {
+	if mask == 0 {
+		panic("cache: access with empty way mask")
+	}
+	la := c.LineAddr(addr)
+	// find's memo and memo-table checks, inlined: the L1s run this once
+	// per simulated instruction, and a call here costs as much again as
+	// the whole memo hit.
+	if c.memoHit(la, mask) {
+		c.commitHit(int(c.memoSet), int(c.memoWay), write, true)
+		return AccessResult{Hit: true}
+	}
+	if si, wi, ok := c.tabProbe(la, mask); ok {
+		c.setMemo(la, si, wi)
+		c.commitHit(si, wi, write, true)
+		return AccessResult{Hit: true}
+	}
+	si := c.setIndex(la)
+	if wi := scan(c.sets[si], la, mask); wi >= 0 {
+		c.setMemo(la, si, wi)
+		c.commitHit(si, wi, write, false)
+		return AccessResult{Hit: true}
+	}
+	return c.fill(si, la, write, mask, owner)
 }
 
 // pickVictim chooses the way to fill within mask.
@@ -714,14 +637,11 @@ func (c *Cache) pickVictim(si int, mask WayMask) int {
 		}
 	}
 	if c.modulo {
-		set := c.sets[si]
-		for wi := range set {
-			if mask&(1<<uint(wi)) != 0 && !set[wi].valid {
-				return wi
-			}
+		if wi := c.freeWay(si, mask); wi >= 0 {
+			return wi
 		}
 		best, bestAge := -1, uint32(0)
-		for wi := range set {
+		for wi := range c.sets[si] {
 			if mask&(1<<uint(wi)) == 0 {
 				continue
 			}
@@ -742,6 +662,17 @@ func (c *Cache) pickVictim(si int, mask WayMask) int {
 	}
 	ways := c.waysFor(mask)
 	return int(ways[c.rnd.Intn(len(ways))])
+}
+
+// freeWay returns the lowest invalid way of set si within mask, or -1.
+func (c *Cache) freeWay(si int, mask WayMask) int {
+	set := c.sets[si]
+	for wi := range set {
+		if mask&(1<<uint(wi)) != 0 && !set[wi].valid {
+			return wi
+		}
+	}
+	return -1
 }
 
 // waysFor returns (building on first use) the enabled-way table of mask.
@@ -816,44 +747,14 @@ func (c *Cache) AccessNoAlloc(addr uint64, mask WayMask, owner int) (hit bool) {
 	if mask == 0 {
 		panic("cache: access with empty way mask")
 	}
-	la := c.LineAddr(addr)
-	if c.memoHit(la, mask) {
+	lk := c.find(c.LineAddr(addr), mask)
+	if !lk.Hit {
 		c.stats.Accesses++
-		c.stats.Hits++
-		c.stats.MemoHits++
-		if c.modulo {
-			c.touchLRU(int(c.memoSet), int(c.memoWay))
-		}
-		return true
+		c.stats.Misses++
+		return false
 	}
-	if si, wi, ok := c.tabProbe(la, mask); ok {
-		c.stats.Accesses++
-		c.stats.Hits++
-		c.stats.MemoHits++
-		c.setMemo(la, si, wi)
-		if c.modulo {
-			c.touchLRU(si, wi)
-		}
-		return true
-	}
-	si := c.setIndex(la)
-	set := c.sets[si]
-	c.stats.Accesses++
-	for wi := range set {
-		if mask&(1<<uint(wi)) == 0 {
-			continue
-		}
-		if set[wi].valid && set[wi].tag == la {
-			c.stats.Hits++
-			c.setMemo(la, si, wi)
-			if c.modulo {
-				c.touchLRU(si, wi)
-			}
-			return true
-		}
-	}
-	c.stats.Misses++
-	return false
+	c.commitHit(int(lk.set), int(lk.way), false, lk.memo)
+	return true
 }
 
 // ForceEvict implements the LLC side of a CRG force-miss request (§3.5):
@@ -896,22 +797,20 @@ func (c *Cache) ForceEvict() AccessResult {
 // it was dirty. Used by tests and by non-inclusive hierarchy management.
 func (c *Cache) Invalidate(addr uint64) (resident, dirty bool) {
 	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			d := set[i].dirty
-			set[i].valid, set[i].dirty, set[i].owner = false, false, -1
-			c.validCount--
-			if d {
-				c.dirtyCount--
-			}
-			if la == c.memoLine {
-				c.memoLine = memoNone
-			}
-			return true, d
-		}
+	l := c.resident(la)
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	d := l.dirty
+	l.valid, l.dirty, l.owner = false, false, -1
+	c.validCount--
+	if d {
+		c.dirtyCount--
+	}
+	if la == c.memoLine {
+		c.memoLine = memoNone
+	}
+	return true, d
 }
 
 // ValidLines returns the number of currently valid lines (test/inspection).

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -470,51 +471,168 @@ func TestMissProbabilityMatchesEquation1(t *testing.T) {
 	}
 }
 
-func TestProbe(t *testing.T) {
+func TestLookup(t *testing.T) {
 	c := New(trCfg("tiny", 32, 2, 16), rng.New(40))
 	full := FullMask(2)
-	pr := c.Probe(0x00, full)
-	if pr.Hit || !pr.FreeWay {
-		t.Fatalf("empty-cache probe = %+v", pr)
+	lk := c.Lookup(0x00, full)
+	if lk.Hit || !lk.FreeWay {
+		t.Fatalf("empty-cache lookup = %+v", lk)
 	}
 	c.Access(0x00, false, full, -1)
-	pr = c.Probe(0x00, full)
-	if !pr.Hit {
-		t.Fatalf("resident probe = %+v", pr)
+	lk = c.Lookup(0x00, full)
+	if !lk.Hit {
+		t.Fatalf("resident lookup = %+v", lk)
 	}
 	// Fill distinct lines until the single set reports no free way (EoM
 	// victims are random, so a bounded number of extra fills may be
 	// needed).
-	for i := uint64(1); i < 64 && c.Probe(0x200, full).FreeWay; i++ {
+	for i := uint64(1); i < 64 && c.Lookup(0x200, full).FreeWay; i++ {
 		c.Access(i*16, false, full, -1)
 	}
-	pr = c.Probe(0x200, full)
-	if pr.Hit || pr.FreeWay {
-		t.Fatalf("full-set probe of absent line = %+v", pr)
+	lk = c.Lookup(0x200, full)
+	if lk.Hit || lk.FreeWay {
+		t.Fatalf("full-set lookup of absent line = %+v", lk)
 	}
-	// Probe is non-mutating and unrecorded.
+	// Lookup leaves the contents alone and records nothing.
 	st := c.Stats()
 	for i := 0; i < 100; i++ {
-		c.Probe(uint64(i*16), full)
+		c.Lookup(uint64(i*16), full)
 	}
 	if c.Stats() != st {
-		t.Fatal("Probe changed statistics")
+		t.Fatal("Lookup changed statistics")
 	}
 	if err := c.CheckInvariants(nil); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestProbeMaskRestricted(t *testing.T) {
+func TestLookupMaskRestricted(t *testing.T) {
 	c := New(llc(TimeRandomised), rng.New(41))
 	maskA := MaskRange(0, 2)
 	maskB := MaskRange(2, 6)
 	c.Access(0x40, false, maskA, 0)
-	if !c.Probe(0x40, maskA).Hit {
-		t.Fatal("owner probe missed")
+	if !c.Lookup(0x40, maskA).Hit {
+		t.Fatal("owner lookup missed")
 	}
-	if c.Probe(0x40, maskB).Hit {
-		t.Fatal("probe saw a line outside its mask")
+	if c.Lookup(0x40, maskB).Hit {
+		t.Fatal("lookup saw a line outside its mask")
+	}
+}
+
+// TestLookupMemoLineRecordsNothing pins MemoHits to committed hits: a
+// Lookup answered by the memo records no statistics, and MemoHits stays a
+// subset of Hits under a mixed stream of lookups and accesses.
+func TestLookupMemoLineRecordsNothing(t *testing.T) {
+	c := New(llc(TimeRandomised), rng.New(42))
+	full := FullMask(8)
+	c.Access(0x40, false, full, -1) // fill: 0x40 is now the memoed line
+	c.ResetStats()
+	if lk := c.Lookup(0x40, full); !lk.Hit {
+		t.Fatal("memoed line missed")
+	}
+	if st := c.Stats(); st != (Stats{}) {
+		t.Fatalf("Lookup of the memoed line recorded %+v", st)
+	}
+	traffic := rng.New(43)
+	for i := 0; i < 20000; i++ {
+		addr := uint64(traffic.Intn(1<<14)) &^ 15
+		switch traffic.Intn(3) {
+		case 0:
+			c.Lookup(addr, full)
+		case 1:
+			lk := c.Lookup(addr, full)
+			if lk.Hit {
+				c.CommitHit(lk, traffic.Intn(2) == 0)
+			} else {
+				c.Fill(lk, false, full, -1)
+			}
+		default:
+			c.Access(addr, traffic.Intn(2) == 0, full, -1)
+		}
+		if st := c.Stats(); st.MemoHits > st.Hits {
+			t.Fatalf("step %d: MemoHits %d > Hits %d", i, st.MemoHits, st.Hits)
+		}
+	}
+	if st := c.Stats(); st.MemoHits == 0 {
+		t.Fatalf("stream never hit the memo: %+v", st)
+	}
+}
+
+// TestAccessMatchesLookupCommitFill is the differential check of the one
+// access semantics: a seeded stream through Access on one cache and
+// through Lookup then CommitHit or Fill on a twin built from the same
+// seed must agree on every result, every counter and the invariant
+// oracle after every access — under both policies, full and partitioned
+// masks, and the tag-flip and disabled-way faults.
+func TestAccessMatchesLookupCommitFill(t *testing.T) {
+	faults := []struct {
+		name string
+		arm  func(*Cache)
+	}{
+		{"healthy", func(*Cache) {}},
+		{"tagflip", func(c *Cache) { c.InjectTagFlip(1, 7) }},
+		{"disabledways", func(c *Cache) { c.InjectDisabledWays(MaskRange(1, 3)) }},
+	}
+	masks := map[string][]WayMask{
+		"full":        {FullMask(8)},
+		"partitioned": {MaskRange(0, 2), MaskRange(2, 2), MaskRange(4, 4)},
+	}
+	for _, p := range []Policy{TimeRandomised, TimeDeterministic} {
+		for mname, ms := range masks {
+			for _, f := range faults {
+				t.Run(fmt.Sprintf("%v/%s/%s", p, mname, f.name), func(t *testing.T) {
+					cfg := Config{Name: "diff", SizeBytes: 16 * 8 * 16, Ways: 8, LineBytes: 16, Policy: p}
+					a, b := New(cfg, rng.New(60)), New(cfg, rng.New(60))
+					f.arm(a)
+					f.arm(b)
+					ownerMask := func(owner int) WayMask { return ms[owner] }
+					if len(ms) == 1 {
+						ownerMask = nil
+					}
+					traffic := rng.New(61)
+					var addr uint64
+					var part int
+					for i := 0; i < 20000; i++ {
+						// Partitions own disjoint address ranges, as the
+						// simulator's per-core address bases guarantee; a
+						// quarter of the accesses repeat the previous line.
+						if traffic.Intn(4) != 0 {
+							part = traffic.Intn(len(ms))
+							addr = uint64(part)<<16 | uint64(traffic.Intn(1<<8))<<4
+						}
+						write := traffic.Intn(4) == 0
+						mask, owner := ms[part], part
+						if ownerMask == nil {
+							owner = -1
+						}
+						ra := a.Access(addr, write, mask, owner)
+						var rb AccessResult
+						if lk := b.Lookup(addr, mask); lk.Hit {
+							b.CommitHit(lk, write)
+							rb = AccessResult{Hit: true}
+						} else {
+							rb = b.Fill(lk, write, mask, owner)
+						}
+						if ra != rb {
+							t.Fatalf("access %d (%#x): Access %+v, Lookup path %+v", i, addr, ra, rb)
+						}
+						if a.Stats() != b.Stats() {
+							t.Fatalf("access %d: stats %+v vs %+v", i, a.Stats(), b.Stats())
+						}
+						ea, eb := a.CheckInvariants(ownerMask), b.CheckInvariants(ownerMask)
+						if fmt.Sprint(ea) != fmt.Sprint(eb) {
+							t.Fatalf("access %d: invariants %v vs %v", i, ea, eb)
+						}
+						if ea != nil && f.name != "tagflip" {
+							t.Fatalf("access %d: %v", i, ea)
+						}
+					}
+					if st := a.Stats(); st.Hits == 0 || st.Evictions == 0 || st.MemoHits == 0 {
+						t.Fatalf("stream did not exercise hits and evictions: %+v", st)
+					}
+				})
+			}
+		}
 	}
 }
 

@@ -63,17 +63,14 @@ type Level struct {
 // is cleared (the writeback the downgrade implies is the caller's to
 // account). Returns whether the line was resident and whether it was dirty.
 func (c *Cache) Downgrade(addr uint64) (resident, wasDirty bool) {
-	la := c.LineAddr(addr)
-	set := c.sets[c.setIndex(la)]
-	for i := range set {
-		if set[i].valid && set[i].tag == la {
-			d := set[i].dirty
-			if d {
-				set[i].dirty = false
-				c.dirtyCount--
-			}
-			return true, d
-		}
+	l := c.resident(c.LineAddr(addr))
+	if l == nil {
+		return false, false
 	}
-	return false, false
+	d := l.dirty
+	if d {
+		l.dirty = false
+		c.dirtyCount--
+	}
+	return true, d
 }

@@ -25,9 +25,6 @@ type FleetOptions struct {
 	StoreDir string
 	// Service configures every node's estimation server.
 	Service service.Options
-	// VirtualNodes is the ring's per-member point count (<= 0 selects
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// HopGrace, BreakerThreshold and BreakerProbeEvery pass through to
 	// every node (<= 0 selects the resil defaults). Tests tighten
 	// HopGrace so hung-peer recovery happens in milliseconds.
@@ -155,8 +152,7 @@ func StartFleet(opts FleetOptions) (*Fleet, error) {
 	for i := range listeners {
 		f.svcs[i] = service.New(opts.Service)
 		node, err := NewNode(Options{
-			ID: f.IDs[i], Peers: peers, Service: f.svcs[i],
-			Store: store, VirtualNodes: opts.VirtualNodes,
+			ID: f.IDs[i], Peers: peers, Service: f.svcs[i], Store: store,
 			Client:           f.partitionedClient(f.IDs[i]),
 			HopGrace:         opts.HopGrace,
 			BreakerThreshold: opts.BreakerThreshold, BreakerProbeEvery: opts.BreakerProbeEvery,

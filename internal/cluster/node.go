@@ -57,9 +57,6 @@ type Options struct {
 	// Store is the shared result store; nil runs without one (forwarding
 	// and stealing still work, cross-node cache hits need the peer's LRU).
 	Store Store
-	// VirtualNodes is the ring's per-member point count (<= 0 selects
-	// DefaultVirtualNodes).
-	VirtualNodes int
 	// Client is used for forwarding; nil selects a client with a short
 	// dial timeout (dead peers fail fast) and a response-header backstop
 	// but no overall timeout (forwarded campaigns legitimately run for
@@ -151,7 +148,7 @@ func NewNode(opts Options) (*Node, error) {
 	return &Node{
 		id:       opts.ID,
 		peers:    opts.Peers,
-		ring:     NewRing(members, opts.VirtualNodes),
+		ring:     NewRing(members, DefaultVirtualNodes),
 		store:    opts.Store,
 		svc:      opts.Service,
 		client:   client,

@@ -20,12 +20,12 @@ import (
 )
 
 // Ring is a consistent-hash ring over the fleet's node IDs. Every member
-// owns VirtualNodes points on the ring; a key's home node is the member
-// owning the first point at or after the key's hash. The ring is immutable
-// after construction — membership changes (a dropped node) are handled by
-// walking Sequence, not by rebuilding the ring, so every node routes from
-// the same table and re-routing around a death is deterministic
-// fleet-wide.
+// owns the same number of points on the ring (DefaultVirtualNodes on a
+// node's ring); a key's home node is the member owning the first point at
+// or after the key's hash. The ring is immutable after construction —
+// membership changes (a dropped node) are handled by walking Sequence, not
+// by rebuilding the ring, so every node routes from the same table and
+// re-routing around a death is deterministic fleet-wide.
 type Ring struct {
 	members []string
 	points  []ringPoint
@@ -72,9 +72,6 @@ func NewRing(members []string, vnodes int) *Ring {
 	})
 	return r
 }
-
-// Members returns the ring's membership in sorted order.
-func (r *Ring) Members() []string { return append([]string(nil), r.members...) }
 
 // Owner returns the home node of key.
 func (r *Ring) Owner(key string) string {

@@ -52,16 +52,6 @@ func IIDTable(opt Options, mid int64) (*IIDResult, error) {
 	return res, nil
 }
 
-// AllPassed reports whether every benchmark passed both tests.
-func (r *IIDResult) AllPassed() bool {
-	for _, row := range r.Rows {
-		if !row.Passed {
-			return false
-		}
-	}
-	return true
-}
-
 // Render prints the compliance table.
 func (r *IIDResult) Render() string {
 	var sb strings.Builder

@@ -292,14 +292,6 @@ func (m *Machine) ReadWord(off uint64) (int64, error) {
 	return v, nil
 }
 
-// WriteWord exposes data-segment writes for test setup.
-func (m *Machine) WriteWord(off uint64, val int64) error {
-	if !m.write64(DataBase+off, val) {
-		return fmt.Errorf("isa: WriteWord offset %d out of segment", off)
-	}
-	return nil
-}
-
 // Step executes one instruction and returns its StepInfo. Calling Step on a
 // halted machine returns Halted=true without executing. A fault (bad
 // address, division by zero) halts the machine and returns the fault.

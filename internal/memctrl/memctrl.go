@@ -109,9 +109,6 @@ func New(serviceCycles, slotCycles int64, cores int) *Controller {
 // Service returns the issue-to-completion latency.
 func (c *Controller) Service() int64 { return c.service }
 
-// IssueSlot returns the bandwidth slot length.
-func (c *Controller) IssueSlot() int64 { return c.slot }
-
 // UpperBoundDelay returns the analysis-time latency charged per memory
 // read: at most Cores-1 foreign reads plus one in-flight write occupy
 // issue slots ahead of the request, then it completes Service cycles after

@@ -240,14 +240,6 @@ func (s Stream) Perm(n int) []int {
 	return p
 }
 
-// Shuffle permutes the first n elements using swap, Fisher-Yates style.
-func (s Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork derives an independent child stream. The child is seeded from the
 // parent's output, so a single master seed can deterministically spawn the
 // per-structure generators (one per cache, per core, per EFL unit ...).

@@ -28,14 +28,20 @@ func TestRetryAfterCeil(t *testing.T) {
 
 	var wg sync.WaitGroup
 	wg.Add(2)
-	go func() { defer wg.Done(); s.dispatch(httptest.NewRecorder(), &Plan{Key: "ra-a", Timeout: time.Minute, run: blockingRun}) }()
+	go func() {
+		defer wg.Done()
+		s.dispatch(httptest.NewRecorder(), &Plan{Key: "ra-a", Timeout: time.Minute, run: blockingRun})
+	}()
 	waitUntil(t, "job A running", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
 		_, inFlight := s.flight["ra-a"]
 		return inFlight && len(s.jobs) == 0
 	})
-	go func() { defer wg.Done(); s.dispatch(httptest.NewRecorder(), &Plan{Key: "ra-b", Timeout: time.Minute, run: blockingRun}) }()
+	go func() {
+		defer wg.Done()
+		s.dispatch(httptest.NewRecorder(), &Plan{Key: "ra-b", Timeout: time.Minute, run: blockingRun})
+	}()
 	waitUntil(t, "job B queued", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()

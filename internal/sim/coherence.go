@@ -44,21 +44,18 @@ func (m *Multicore) evalLevel(ctl *coreCtl, t int64) {
 	if m.coh != nil && ctl.lvl == 0 {
 		m.cohServe(ctl, t)
 	}
-	lv := &m.mids[ctl.lvl]
 	write := ctl.req.Kind != cpu.ReqFetch
-	lk := lv.Lookup(ctl.req.Addr, m.midMask[ctl.lvl])
-	if lk.Hit {
-		lv.CommitHit(lk, write)
+	// A miss allocates here at lookup time (the simulator's usual
+	// state-at-lookup convention; intermediate fills are not EFL-gated —
+	// the gate protects the last level), so one Access serves the level.
+	res := m.mids[ctl.lvl].Access(ctl.req.Addr, write, m.midMask[ctl.lvl], -1)
+	if res.Hit {
 		m.emit(t, ctl.id, trace.EvLLCHit, ctl.req.Addr, int64(ctl.lvl+1))
 		m.finishRequest(ctl, t)
 		return
 	}
-	// Miss: allocate here at lookup time (the simulator's usual
-	// state-at-lookup convention; intermediate fills are not EFL-gated —
-	// the gate protects the last level) and walk outward. Dirty victims
-	// are posted to memory like the last level's (non-inclusive
-	// hierarchy).
-	res := lv.Fill(lk, write, m.midMask[ctl.lvl], -1)
+	// Walk outward. Dirty victims are posted to memory like the last
+	// level's (non-inclusive hierarchy).
 	m.emit(t, ctl.id, trace.EvLLCMiss, ctl.req.Addr, int64(ctl.lvl+1))
 	if res.EvictedDirty && m.cfg.Mode == efl.Deployment {
 		m.mcRequest(memctrl.Request{Core: ctl.id, Arrival: t, Kind: memctrl.Write})

@@ -284,13 +284,6 @@ func (c Config) llcConfig() cache.Config {
 	return lv[len(lv)-1].Config(c.LineBytes)
 }
 
-// firstSharedLatency returns the lookup latency charged at bus grant: the
-// latency of the first shared level a miss walks into. On the default
-// layout this is LLCHitCycles.
-func (c Config) firstSharedLatency() int64 {
-	return c.levels()[1].LatencyCycles
-}
-
 // coherent reports whether the MSI shared-data layer is enabled.
 func (c Config) coherent() bool { return c.SharedDataBytes > 0 }
 

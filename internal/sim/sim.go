@@ -113,9 +113,6 @@ type Result struct {
 	EFLStallHist metrics.Histogram // per-eviction EAB waits, all cores merged
 }
 
-// IPCOf returns core i's instructions per cycle.
-func (r *Result) IPCOf(i int) float64 { return r.PerCore[i].IPC }
-
 // Multicore is the assembled platform. Construct with New, execute runs
 // with Run (or the allocation-free RunInto); each run starts from a fresh
 // state with new cache RIIs (the per-run randomisation the MBPTA protocol

@@ -142,10 +142,6 @@ func (e *ECDF) At(x float64) float64 {
 // function MBPTA upper-bounds (§2.1).
 func (e *ECDF) CCDFAt(x float64) float64 { return 1 - e.At(x) }
 
-// Sorted returns the (ascending) sorted sample backing the ECDF. The caller
-// must not modify it.
-func (e *ECDF) Sorted() []float64 { return e.sorted }
-
 // RunsTestResult holds the outcome of a Wald-Wolfowitz runs test.
 type RunsTestResult struct {
 	Runs     int     // observed number of runs
