@@ -8,8 +8,9 @@ build:
 test:
 	go test -count=1 ./...
 
-# Full verification gate: vet + build + tests + race detector on the
-# simulation hot-path packages. SHORT=1 skips the long experiments suite.
+# Full verification gate: gofmt + vet + build + tests + race detector on
+# every package except internal/experiments, then the smokes and the
+# bench gate. SHORT=1 skips the long experiments suite.
 verify:
 	./scripts/verify.sh
 

@@ -5,13 +5,12 @@ package experiments
 // platform and folds each execution time into an mbpta.Stream, stopping
 // as soon as the streaming pWCET estimate stabilises instead of always
 // simulating Options.Runs runs. Per-run seeds are derived from the run
-// index (runner.Seed), so the collected sample — and the stopping point —
+// index (runner.RunSeed), so the collected sample — and the stopping point —
 // is a function of the campaign seed alone, and no run is simulated past
 // the stop.
 
 import (
 	"context"
-	"fmt"
 
 	"efl/internal/isa"
 	"efl/internal/mbpta"
@@ -19,25 +18,13 @@ import (
 	"efl/internal/sim"
 )
 
-// runSeed derives the seed of run i within a campaign. The identity is
-// the run index alone — stable across worker counts.
-func runSeed(campaign uint64, i int) uint64 {
-	return runner.Seed(campaign, fmt.Sprintf("run/%d", i))
-}
-
 // streamOptions maps campaign options onto the incremental estimator:
 // the campaign's run budget is the ceiling, its probability the tracked
-// quantile. MinRuns shrinks with tiny budgets so scaled-down test
-// campaigns remain satisfiable.
+// quantile.
 func (o Options) streamOptions() mbpta.StreamOptions {
-	minRuns := 100
-	if o.Runs < minRuns {
-		minRuns = o.Runs
-	}
 	return mbpta.StreamOptions{
 		Options: mbpta.Options{SkipIIDTests: true},
 		Prob:    o.Prob,
-		MinRuns: minRuns,
 		MaxRuns: o.Runs,
 	}
 }
@@ -53,7 +40,7 @@ func pooledPWCETConverged(ctx context.Context, pool *sim.Pool, opt Options, cfg 
 		return PWCETResult{}, nil, err
 	}
 	_, err = pool.StreamAnalysisTimes(ctx, cfg, prog, 0, opt.Runs,
-		func(i int) uint64 { return runSeed(seed, i) }, stream.Add)
+		func(i int) uint64 { return runner.RunSeed(seed, i) }, stream.Add)
 	if err != nil {
 		return PWCETResult{}, nil, err
 	}

@@ -6,13 +6,14 @@ import (
 	"testing"
 
 	"efl/internal/mbpta"
+	"efl/internal/runner"
 	"efl/internal/sim"
 )
 
 // TestConvergedCampaignBatchInvariant: the convergence-stopped sample is
 // defined by the run index alone — run i is exactly a fresh RunAnalysis
-// under runSeed(campaign, i), and the campaign stops where an independent
-// stream fed those reference times stops.
+// under runner.RunSeed(campaign, i), and the campaign stops where an
+// independent stream fed those reference times stops.
 func TestConvergedCampaignBatchInvariant(t *testing.T) {
 	spec, err := specByCode("CA")
 	if err != nil {
@@ -34,7 +35,7 @@ func TestConvergedCampaignBatchInvariant(t *testing.T) {
 	}
 	stopped := 0
 	for i := range times {
-		want, err := sim.RunAnalysis(eflConfig(500), prog, runSeed(seed, i))
+		want, err := sim.RunAnalysis(eflConfig(500), prog, runner.RunSeed(seed, i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -52,7 +53,7 @@ func TestConvergedCampaignBatchInvariant(t *testing.T) {
 
 // TestConvergedCampaignAgreesWithFixedCount is the acceptance check: a
 // convergence-stopped campaign must reproduce the fixed-count pWCET
-// estimate within the A4 agreement threshold (Options.EVTThreshold, the
+// estimate within the A4 agreement threshold (evtThreshold, the
 // same relative-disagreement bound the auditor's EVT cross-check uses).
 // The comparison runs at evtCheckProb, like A4 itself: at 1e-15 two
 // honest estimates extrapolate too far for a threshold comparison to
@@ -89,9 +90,9 @@ func TestConvergedCampaignAgreesWithFixedCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	disagree := math.Abs(ca.PWCET-fa.PWCET) / math.Max(ca.PWCET, fa.PWCET)
-	if disagree > opt.EVTThreshold {
+	if disagree > evtThreshold {
 		t.Fatalf("converged pWCET %.0f (at %d runs) vs fixed-count %.0f (at %d runs) at p=%g: disagreement %.3f > A4 threshold %.2f",
-			ca.PWCET, len(convTimes), fa.PWCET, len(fixedTimes), evtCheckProb, disagree, opt.EVTThreshold)
+			ca.PWCET, len(convTimes), fa.PWCET, len(fixedTimes), evtCheckProb, disagree, evtThreshold)
 	}
 	t.Logf("converged %d runs pWCET %.0f vs fixed %d runs pWCET %.0f at p=%g (disagreement %.3f); at %g: %.0f vs %.0f",
 		len(convTimes), ca.PWCET, len(fixedTimes), fa.PWCET, evtCheckProb, disagree, opt.Prob, conv.PWCET, fixed.PWCET)

@@ -64,11 +64,6 @@ type Options struct {
 	// It never alters results: workers share it through their pools and
 	// record into it under its own lock.
 	Audit *sim.Auditor `json:"-"`
-	// EVTThreshold is the maximum tolerated relative disagreement between
-	// the block-maxima and POT pWCET estimates before the auditor flags a
-	// campaign (default 0.25; invariant A4). The comparison runs at
-	// evtCheckProb, not at Prob: see auditEVT.
-	EVTThreshold float64 `json:"-"`
 	// OnProgress, when non-nil, receives the runner's structured progress
 	// snapshots (live -metrics-addr endpoint). Calls are serialised.
 	OnProgress func(runner.Progress) `json:"-"`
@@ -115,9 +110,6 @@ func (o Options) withDefaults() Options {
 	if len(o.CPWays) == 0 {
 		o.CPWays = []int{1, 2, 4}
 	}
-	if o.EVTThreshold == 0 {
-		o.EVTThreshold = 0.25
-	}
 	if o.FaultRuns == 0 {
 		o.FaultRuns = 5
 	}
@@ -157,12 +149,17 @@ func (o Options) newPool() *sim.Pool {
 // across every benchmark x MID pair at 150-1000 runs), so a deep-tail
 // comparison cannot separate a fragile fit from an honest one. At 1e-3
 // the same sweep tops out at 0.074: both routes are still anchored by
-// the data, and a disagreement past EVTThreshold genuinely signals a
+// the data, and a disagreement past evtThreshold genuinely signals a
 // broken tail fit rather than extrapolation variance.
 const evtCheckProb = 1e-3
 
+// evtThreshold is the maximum tolerated relative disagreement between the
+// block-maxima and POT pWCET estimates at evtCheckProb before the auditor
+// flags a campaign (invariant A4).
+const evtThreshold = 0.25
+
 // auditEVT records invariant A4 for one campaign sample: the block-maxima
-// and POT pWCET estimates at evtCheckProb must agree within EVTThreshold.
+// and POT pWCET estimates at evtCheckProb must agree within evtThreshold.
 // Samples too small for a POT fit are skipped, not flagged — AnalyzePOT
 // needs 5*MinExcesses observations before the comparison means anything.
 func (o Options) auditEVT(name string, times []float64) {
@@ -174,10 +171,10 @@ func (o Options) auditEVT(name string, times []float64) {
 		return
 	}
 	detail := ""
-	ok := disagree <= o.EVTThreshold
+	ok := disagree <= evtThreshold
 	if !ok {
 		detail = fmt.Sprintf("%s: block-maxima pWCET %.0f vs POT %.0f at p=%.0e (disagreement %.2f > %.2f)",
-			name, bm, pot, evtCheckProb, disagree, o.EVTThreshold)
+			name, bm, pot, evtCheckProb, disagree, evtThreshold)
 	}
 	o.Audit.Record(sim.AuditEVTCrossCheck, ok, detail)
 }

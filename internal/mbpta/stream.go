@@ -25,7 +25,8 @@ type StreamOptions struct {
 	// (default 1e-15, the paper's headline probability).
 	Prob float64
 	// MinRuns is the minimum number of observations before any estimate
-	// is produced or convergence declared (default 100).
+	// is produced or convergence declared (default 100, or MaxRuns when
+	// that is set and smaller, so a small run budget stays satisfiable).
 	MinRuns int
 	// MaxRuns, when non-zero, caps the stream: Add reports done once the
 	// cap is reached even without convergence (the paper's 1,000-run
@@ -42,6 +43,9 @@ func (o *StreamOptions) fill() error {
 	}
 	if o.MinRuns == 0 {
 		o.MinRuns = 100
+		if o.MaxRuns > 0 {
+			o.MinRuns = min(o.MinRuns, o.MaxRuns)
+		}
 	}
 	if o.MinBlocks == 0 {
 		o.MinBlocks = 20

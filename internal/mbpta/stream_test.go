@@ -106,6 +106,26 @@ func TestStreamFirstEstimateAtMinRuns(t *testing.T) {
 	}
 }
 
+// TestStreamMinRunsFollowsSmallBudget pins the MinRuns default under a
+// run budget below 100: MinRuns drops to the budget, so a small campaign
+// gets its first estimate at its last run instead of being rejected.
+func TestStreamMinRunsFollowsSmallBudget(t *testing.T) {
+	s, err := NewStream(StreamOptions{MaxRuns: 40})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.opt.MinRuns != 40 {
+		t.Fatalf("MinRuns = %d under a 40-run budget, want 40", s.opt.MinRuns)
+	}
+	src := rng.New(3)
+	for i := 0; i < 40; i++ {
+		s.Add(src.Float64() * 100)
+	}
+	if _, ok := s.Estimate(); !ok {
+		t.Fatal("no estimate at the end of the 40-run budget")
+	}
+}
+
 // TestStreamConvergesAndAgreesWithFixedCount is the calibration check: the
 // convergence-stopped streaming estimate must reproduce the fixed-count
 // Analyze estimate within the experiments engine's A4 agreement threshold

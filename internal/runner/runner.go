@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,6 +77,13 @@ func Seed(master uint64, identity string) uint64 {
 		h = 1
 	}
 	return h
+}
+
+// RunSeed derives the seed of run i of a converged campaign whose master
+// seed is campaign. The identity is the run index alone, so a campaign's
+// sample and stopping point are stable across worker counts and callers.
+func RunSeed(campaign uint64, i int) uint64 {
+	return Seed(campaign, "run/"+strconv.Itoa(i))
 }
 
 // Map runs fn over every item and returns the results in item order.

@@ -571,21 +571,16 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 			// Convergence-stopped collection: the stream tracks the deepest
 			// requested tail (the slowest quantile to stabilise) and the
 			// pooled platform supplies runs with index-derived seeds.
-			minRuns := 100
-			if runs < minRuns {
-				minRuns = runs
-			}
 			stream, serr := mbpta.NewStream(mbpta.StreamOptions{
 				Options: mbpta.Options{SkipIIDTests: true},
 				Prob:    probs[0],
-				MinRuns: minRuns,
 				MaxRuns: runs,
 			})
 			if serr != nil {
 				return nil, serr
 			}
 			if _, serr := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, runs,
-				func(i int) uint64 { return runner.Seed(seed, "run/"+strconv.Itoa(i)) },
+				func(i int) uint64 { return runner.RunSeed(seed, i) },
 				stream.Add); serr != nil {
 				return nil, serr
 			}

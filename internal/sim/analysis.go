@@ -13,8 +13,9 @@ import (
 //   - the architectural instruction stream is decoded ONCE per program
 //     (cpu.RecordTrace, pooled by Pool.traceFor) and replayed by every run,
 //     removing the interpreter from the hot path;
-//   - the platform is rewound in place per run (Rewind), so the steady
-//     state allocates nothing;
+//   - the platform is rewound in place per run (Rewind, the last step of
+//     the New → Reuse → Rewind lifecycle in sim.go), so the steady state
+//     allocates nothing;
 //   - the event loop is the analysis-mode specialisation (analysisAdvance):
 //     with exactly one active core and no bus/memory-controller events, the
 //     per-event candidate scan collapses to three candidates instead of
@@ -22,37 +23,9 @@ import (
 //
 // Every shortcut is bit-identical to a fresh interpreted run through the
 // general event loop — pinned by the all-kernel golden test and the
-// stream-vs-fresh property tests.
-
-// Rewind re-derives every PRNG stream of the platform from seed in
-// construction fork order, leaving the platform as New(m.Config(), progs,
-// seed) would (pinned by TestRewindMatchesFresh) without touching the
-// program set or reallocating cores — the in-place, allocation-free subset
-// of Reuse. Run state (caches, machines, pipeline, event candidates) is
-// rewound by the reset every RunInto performs, so Rewind only needs to
-// rewind what reset does not: the seed-derived streams, plus any fault
-// plan or watchdog budget left by the previous job.
-func (m *Multicore) Rewind(seed uint64) {
-	m.DisarmFaults()
-	m.watchdog = 0
-
-	// Fork order mirrors New exactly: LLC, bus, access control, then the
-	// per-core L1 pairs of cores that run a program.
-	m.rnd.Reseed(seed)
-	m.llc.Reseed(m.rnd.Uint64())
-	m.bus.Reseed(m.rnd.Uint64())
-	m.ac.Reseed(m.rnd.Uint64())
-	m.ac.SetFixed(m.cfg.EFLFixedMID)
-	for i := range m.mids {
-		m.mids[i].Reseed(m.rnd.Uint64())
-	}
-	for _, ctl := range m.cores {
-		if ctl.core != nil {
-			ctl.core.IL1.Reseed(m.rnd.Uint64())
-			ctl.core.DL1.Reseed(m.rnd.Uint64())
-		}
-	}
-}
+// stream-vs-fresh property tests. The campaign loops that drive these
+// runs (Pool.CollectAnalysisTimes, Pool.StreamAnalysisTimes) live in
+// pool.go.
 
 // effectiveLimit is the run's cycle ceiling: the configured maximum,
 // tightened by the runner watchdog budget when one is armed.

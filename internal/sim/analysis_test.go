@@ -69,7 +69,7 @@ func checkStream(t *testing.T, cfg Config, prog *isa.Program, seeds []uint64, re
 	aud := NewAuditor()
 	pool.SetAuditor(aud)
 	var times []float64
-	n, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 8, len(seeds),
+	n, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 0, len(seeds),
 		func(i int) uint64 { return seeds[i] },
 		func(v float64) bool { times = append(times, v); return false })
 	if err != nil {
@@ -226,17 +226,17 @@ func TestBatchLockstepProperty(t *testing.T) {
 	}
 }
 
-// TestBatchRunReusesLanes pins that consecutive streams on one pool are
+// TestStreamsShareOnePlatform pins that consecutive streams on one pool are
 // independent: they share the pooled platform, a second stream with the
 // same seeds reproduces the first (no state leaks between streams), and a
 // shorter stream yields a prefix.
-func TestBatchRunReusesLanes(t *testing.T) {
+func TestStreamsShareOnePlatform(t *testing.T) {
 	cfg := DefaultConfig().WithEFL(500)
 	prog := goldenProg()
 	pool := NewPool()
 	stream := func(runs int) []float64 {
 		var times []float64
-		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 1, runs,
+		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 0, runs,
 			func(i int) uint64 { return uint64(5 + i) },
 			func(v float64) bool { times = append(times, v); return false }); err != nil {
 			t.Fatal(err)
@@ -255,12 +255,12 @@ func TestBatchRunReusesLanes(t *testing.T) {
 	}
 }
 
-// TestBatchRunZeroAlloc is the allocation guard: in steady state a
+// TestStreamZeroAlloc is the allocation guard: in steady state a
 // stream allocates nothing per consumed run — a long stream allocates
 // what a one-run stream does (the per-call setup). A -race build adds a
 // few allocations of its own per call, so the comparison is per extra
 // run, where one allocation per run would read 1.
-func TestBatchRunZeroAlloc(t *testing.T) {
+func TestStreamZeroAlloc(t *testing.T) {
 	cfg := DefaultConfig().WithEFL(500)
 	prog := goldenProg()
 	pool := NewPool()
@@ -269,7 +269,7 @@ func TestBatchRunZeroAlloc(t *testing.T) {
 	noStop := func(float64) bool { return false }
 	allocs := func(runs int) float64 {
 		return testing.AllocsPerRun(3, func() {
-			if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 1, runs, seedFor, noStop); err != nil {
+			if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, runs, seedFor, noStop); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -282,20 +282,20 @@ func TestBatchRunZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestBatchValidation covers the stream's argument edge cases: a zero run
+// TestStreamValidation covers the stream's argument edge cases: a zero run
 // budget consumes nothing, and an invalid configuration is rejected before
 // any run; neither calls back.
-func TestBatchValidation(t *testing.T) {
+func TestStreamValidation(t *testing.T) {
 	calls := 0
 	seedFor := func(int) uint64 { calls++; return 1 }
 	emit := func(float64) bool { calls++; return false }
 	pool := NewPool()
-	n, err := pool.StreamAnalysisTimes(context.Background(), DefaultConfig().WithEFL(500), goldenProg(), 1, 0, seedFor, emit)
+	n, err := pool.StreamAnalysisTimes(context.Background(), DefaultConfig().WithEFL(500), goldenProg(), 0, 0, seedFor, emit)
 	if err != nil || n != 0 {
 		t.Fatalf("zero budget: n=%d err=%v, want 0 runs and no error", n, err)
 	}
 	bad := DefaultConfig().WithPartition([]int{8, 8, 8, 8}) // 32 of 8 LLC ways
-	if _, err := pool.StreamAnalysisTimes(context.Background(), bad, goldenProg(), 1, 4, seedFor, emit); err == nil {
+	if _, err := pool.StreamAnalysisTimes(context.Background(), bad, goldenProg(), 0, 4, seedFor, emit); err == nil {
 		t.Fatal("expected an error for an invalid configuration")
 	}
 	if calls != 0 {
@@ -314,7 +314,7 @@ func TestBatchContextCancel(t *testing.T) {
 	cancel()
 	seeded := 0
 	seedFor := func(i int) uint64 { seeded++; return uint64(i + 1) }
-	n, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 1, 10, seedFor, func(float64) bool { return false })
+	n, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, 10, seedFor, func(float64) bool { return false })
 	if err != context.Canceled || n != 0 || seeded != 0 {
 		t.Fatalf("pre-cancelled: n=%d seeded=%d err=%v, want 0 runs and context.Canceled", n, seeded, err)
 	}
@@ -322,7 +322,7 @@ func TestBatchContextCancel(t *testing.T) {
 	ctx, cancel = context.WithCancel(context.Background())
 	defer cancel()
 	seeded, emitted := 0, 0
-	n, err = pool.StreamAnalysisTimes(ctx, cfg, prog, 1, 10, seedFor, func(float64) bool {
+	n, err = pool.StreamAnalysisTimes(ctx, cfg, prog, 0, 10, seedFor, func(float64) bool {
 		emitted++
 		if emitted == 3 {
 			cancel()
@@ -348,7 +348,7 @@ func TestStreamSeedsOncePerConsumedRun(t *testing.T) {
 	} {
 		var seeded []int
 		emitted := 0
-		n, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 8, tc.maxRuns,
+		n, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 0, tc.maxRuns,
 			func(i int) uint64 { seeded = append(seeded, i); return uint64(i + 1) },
 			func(float64) bool { emitted++; return emitted == tc.stopAt })
 		if err != nil {
@@ -398,7 +398,7 @@ func BenchmarkSingleRunCA(b *testing.B) {
 // BenchmarkStreamAnalysisTimes measures the converged-campaign path: one
 // stream of b.N runs of CA, each rewound to its own seed. The per-run
 // allocation figure is visible via -benchmem (0 allocs per consumed run in
-// steady state is asserted by TestBatchRunZeroAlloc).
+// steady state is asserted by TestStreamZeroAlloc).
 func BenchmarkStreamAnalysisTimes(b *testing.B) {
 	cfg := DefaultConfig().WithEFL(500)
 	spec, err := bench.ByCode("CA")
@@ -410,12 +410,12 @@ func BenchmarkStreamAnalysisTimes(b *testing.B) {
 	ctx := context.Background()
 	seedFor := func(i int) uint64 { return uint64(i + 1) }
 	noStop := func(float64) bool { return false }
-	if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 1, 1, seedFor, noStop); err != nil { // record the trace
+	if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, 1, seedFor, noStop); err != nil { // record the trace
 		b.Fatal(err)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 1, b.N, seedFor, noStop); err != nil {
+	if _, err := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, b.N, seedFor, noStop); err != nil {
 		b.Fatal(err)
 	}
 	b.StopTimer()

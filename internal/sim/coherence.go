@@ -1,12 +1,14 @@
 package sim
 
-// This file holds the two extensions the pluggable hierarchy brings over
-// the fixed IL1/DL1→LLC platform:
+// This file holds the shared-level walk and the coherence layer the
+// pluggable hierarchy brings over the fixed IL1/DL1→LLC platform:
 //
-//   - evalLevel, the generalised miss walk: a transaction that won the bus
+//   - evalLevel, the miss walk every transaction that won the bus takes:
+//     it serves the coherence side once at the first shared level, then
 //     consults the shared levels in order (each intermediate charged its
 //     own lookup latency), reaching evalLLC — and with it the EFL gate,
 //     which protects the LAST level only — when every intermediate missed.
+//     On the default two-level layout the walk goes straight to evalLLC.
 //
 //   - cohDir, the MSI directory for shared-data lines. The directory
 //     tracks the BELIEVED protocol state (silent clean evictions are not
@@ -31,18 +33,21 @@ import (
 )
 
 // evalLevel processes the shared-level lookup of ctl.req completing at
-// cycle t on a multi-level hierarchy. ctl.lvl indexes the shared level
-// being consulted: intermediates first, then the last level via evalLLC
+// cycle t. ctl.lvl indexes the shared level being consulted:
+// intermediates first, then the last level via evalLLC
 // (EFL gate, CRG semantics, partitioning). One bus grant covers the whole
 // walk — the bus is the core-side interconnect; hops between shared
 // levels ride the backside and cost each level's lookup latency.
 func (m *Multicore) evalLevel(ctl *coreCtl, t int64) {
+	if m.coh != nil && ctl.lvl == 0 {
+		// First shared level reached: serve the coherence side of a
+		// shared-line fetch (peer invalidation / downgrade) before the
+		// cache lookup.
+		m.cohServe(ctl, t)
+	}
 	if ctl.lvl >= len(m.mids) {
 		m.evalLLC(ctl, t)
 		return
-	}
-	if m.coh != nil && ctl.lvl == 0 {
-		m.cohServe(ctl, t)
 	}
 	write := ctl.req.Kind != cpu.ReqFetch
 	// A miss allocates here at lookup time (the simulator's usual
@@ -72,19 +77,6 @@ func (m *Multicore) evalLevel(ctl *coreCtl, t int64) {
 	ctl.wakeAt = t + lat
 	ctl.evalAt = ctl.wakeAt
 	ctl.acct.Add(metrics.LLCLookup, lat)
-}
-
-// serveUpgrade completes a coherence upgrade granted at cycle at after
-// wait cycles of arbitration: peers' copies are invalidated and the whole
-// transaction (wait + slot) is charged to the coherence category. No
-// cache level is consulted — the line is already resident in the writer's
-// DL1.
-func (m *Multicore) serveUpgrade(ctl *coreCtl, at, wait int64) {
-	m.coh.upgrade(ctl.id, ctl.req.Addr, at)
-	ctl.acct.Add(metrics.Coherence, wait+m.cfg.BusSlotCycles)
-	ctl.state = stWaitWake
-	ctl.wakeAt = at + m.cfg.BusSlotCycles
-	ctl.evalAt = ctl.wakeAt
 }
 
 // cohServe performs the coherence side of a shared-data fetch reaching the

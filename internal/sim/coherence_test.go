@@ -211,10 +211,10 @@ func TestThreeLevelEndToEnd(t *testing.T) {
 	assertAttribution(t, cfg, res)
 }
 
-// TestThreeLevelLockstep is the stream property test on the deeper
+// TestThreeLevelStreamMatchesFresh is the stream property test on the deeper
 // hierarchy: run i of a stream over the 3-level config is exactly a fresh
 // RunAnalysis under seedFor(i), audited run by run.
-func TestThreeLevelLockstep(t *testing.T) {
+func TestThreeLevelStreamMatchesFresh(t *testing.T) {
 	cfg := threeLevelConfig()
 	prog := bench.CANRdr()
 	seeds := make([]uint64, 8)

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"efl/internal/bench"
 	"efl/internal/isa"
 )
 
@@ -174,4 +175,67 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+}
+
+// The hierarchy goldens pin the layouts the two-level fingerprints above
+// do not reach: a 4-core EFL deployment on the 3-level hierarchy (shared
+// L2 between the L1s and the LLC) and a 4-core MSI-coherent deployment of
+// the SC shared-data kernel. Two consecutive runs each, so the cross-run
+// reseeding of the intermediate level and the per-run directory reset are
+// covered too. The fingerprint adds every level's counters and the
+// protocol traffic to goldenFingerprint's.
+var (
+	goldenThreeLevel = [2]string{
+		"core0 cycles=71942 instrs=2318 il1=2318/4 dl1=768/188 efl{ev=133 stall=52474 dsum=69485} buswait=0\ncore1 cycles=60685 instrs=2318 il1=2318/4 dl1=768/189 efl{ev=132 stall=41316 dsum=57790} buswait=0\ncore2 cycles=73359 instrs=2318 il1=2318/4 dl1=768/199 efl{ev=134 stall=53602 dsum=70023} buswait=0\ncore3 cycles=67303 instrs=2318 il1=2318/4 dl1=768/172 efl{ev=133 stall=48108 dsum=63622} buswait=0\nLLC acc=549 hit=17 miss=532 evict=39 wb=0 forced=0 flush=0\nbus tx=1023 wait=26 busy=2046\nmem rd=532 wr=29 wait=85\ntotal=73359\nL1 acc=12344 hit=11580 miss=764 evict=259 wb=259\nL2 acc=1023 hit=434 miss=589 evict=163 wb=29\nLLC acc=549 hit=17 miss=532 evict=39 wb=0\ncoh upg=0 excl=0 inval=0 down=0",
+		"core0 cycles=75485 instrs=2318 il1=4636/8 dl1=1536/385 efl{ev=132 stall=55954 dsum=72630} buswait=0\ncore1 cycles=69846 instrs=2318 il1=4636/8 dl1=1536/381 efl{ev=132 stall=50383 dsum=66619} buswait=0\ncore2 cycles=68325 instrs=2318 il1=4636/8 dl1=1536/391 efl{ev=132 stall=48869 dsum=64610} buswait=0\ncore3 cycles=67610 instrs=2318 il1=4636/8 dl1=1536/382 efl{ev=132 stall=47882 dsum=63988} buswait=0\nLLC acc=553 hit=25 miss=528 evict=38 wb=0 forced=0 flush=0\nbus tx=1122 wait=31 busy=2244\nmem rd=528 wr=34 wait=37\ntotal=75485\nL1 acc=24688 hit=23117 miss=1571 evict=574 wb=1063\nL2 acc=1122 hit=533 miss=589 evict=149 wb=34\nLLC acc=553 hit=25 miss=528 evict=38 wb=0\ncoh upg=0 excl=0 inval=0 down=0",
+	}
+	goldenCoherent = [2]string{
+		"core0 cycles=76582 instrs=18604 il1=18604/46 dl1=10801/1951 efl{ev=62 stall=22829 dsum=30299} buswait=0\ncore1 cycles=77699 instrs=18604 il1=18604/46 dl1=10801/2042 efl{ev=68 stall=22397 dsum=30233} buswait=0\ncore2 cycles=77942 instrs=18604 il1=18604/45 dl1=10801/1927 efl{ev=60 stall=25271 dsum=32638} buswait=0\ncore3 cycles=75056 instrs=18604 il1=18604/43 dl1=10801/1866 efl{ev=65 stall=22798 dsum=30842} buswait=0\nLLC acc=8030 hit=7775 miss=255 evict=10 wb=0 forced=0 flush=0\nbus tx=15233 wait=2779 busy=30466\nmem rd=255 wr=7260 wait=13216\ntotal=77942\nL1 acc=117620 hit=109654 miss=7966 evict=426 wb=64\nLLC acc=8030 hit=7775 miss=255 evict=10 wb=0\ncoh upg=7203 excl=122 inval=7388 down=7162",
+		"core0 cycles=77070 instrs=18604 il1=37208/91 dl1=21602/3859 efl{ev=58 stall=24594 dsum=32298} buswait=0\ncore1 cycles=75442 instrs=18604 il1=37208/91 dl1=21602/3977 efl{ev=69 stall=21558 dsum=29742} buswait=0\ncore2 cycles=76823 instrs=18604 il1=37208/87 dl1=21602/3916 efl{ev=62 stall=22946 dsum=30606} buswait=0\ncore3 cycles=75467 instrs=18604 il1=37208/90 dl1=21602/3820 efl{ev=61 stall=22145 dsum=30448} buswait=0\nLLC acc=8036 hit=7786 miss=250 evict=10 wb=0 forced=0 flush=0\nbus tx=15234 wait=2784 busy=30468\nmem rd=250 wr=7220 wait=12053\ntotal=77070\nL1 acc=235240 hit=219309 miss=15931 evict=915 wb=151\nLLC acc=8036 hit=7786 miss=250 evict=10 wb=0\ncoh upg=7198 excl=95 inval=7328 down=7167",
+	}
+)
+
+// goldenHierarchyFingerprint extends goldenFingerprint with the per-level
+// counters and the run's coherence traffic.
+func goldenHierarchyFingerprint(m *Multicore, res *Result) string {
+	var b strings.Builder
+	b.WriteString(goldenFingerprint(res))
+	for _, l := range res.PerLevel {
+		s := l.Stats
+		fmt.Fprintf(&b, "\n%s acc=%d hit=%d miss=%d evict=%d wb=%d",
+			l.Name, s.Accesses, s.Hits, s.Misses, s.Evictions, s.Writebacks)
+	}
+	c := m.CoherenceStats()
+	fmt.Fprintf(&b, "\ncoh upg=%d excl=%d inval=%d down=%d", c.Upgrades, c.ExclFetches, c.Invalidations, c.Downgrades)
+	return b.String()
+}
+
+// checkHierarchyGolden runs a freshly built platform twice and compares
+// each run with its pinned fingerprint.
+func checkHierarchyGolden(t *testing.T, cfg Config, progs []*isa.Program, want [2]string) {
+	t.Helper()
+	m, err := New(cfg, progs, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for run := range want {
+		res, err := m.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := goldenHierarchyFingerprint(m, res); got != want[run] {
+			t.Errorf("run %d fingerprint drifted.\ngot:\n%s\nwant:\n%s", run+1, got, want[run])
+		}
+		assertAttribution(t, cfg, res)
+	}
+}
+
+func TestGoldenThreeLevelDeployment(t *testing.T) {
+	prog := goldenProg()
+	checkHierarchyGolden(t, threeLevelConfig(), []*isa.Program{prog, prog, prog, prog}, goldenThreeLevel)
+}
+
+func TestGoldenCoherentDeployment(t *testing.T) {
+	cfg := coherentConfig(bench.SCSharedBytes)
+	checkHierarchyGolden(t, cfg, sharedProgs(t, "SC", cfg.Cores), goldenCoherent)
 }

@@ -1,92 +1,21 @@
 package sim
 
+// This file holds the campaign side of the platform: Pool keeps one
+// platform per Config (built by New, swapped to new programs by Reuse),
+// one recorded replay trace per program and an optional auditor, and runs
+// analysis campaigns on them. Both campaign shapes — the fixed-count
+// CollectAnalysisTimes, seeded once, and the converged
+// StreamAnalysisTimes, rewound per run — drive the same audited run loop
+// (auditedRuns); only their seeding differs.
+
 import (
 	"context"
 	"fmt"
 
-	"efl/internal/cache"
 	"efl/internal/cpu"
-	"efl/internal/efl"
 	"efl/internal/isa"
 	"efl/internal/lru"
 )
-
-// Reuse rewinds the platform for a fresh campaign under the SAME Config:
-// every PRNG stream is re-derived from seed in construction fork order,
-// caches are rewound to their just-constructed state (reusing their line
-// arrays), and progs replace the previous program set. The result is
-// bit-identical to New(m.Config(), progs, seed) — pinned by
-// TestReuseMatchesFresh — while avoiding the cache/array allocations that
-// dominate New. Campaign code reuses one platform per (worker, Config)
-// through Pool instead of constructing thousands.
-func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
-	cfg := m.cfg
-	if len(progs) > cfg.Cores {
-		return fmt.Errorf("sim: %d programs for %d cores", len(progs), cfg.Cores)
-	}
-	if cfg.Mode == efl.Analysis {
-		for i, p := range progs {
-			if (p != nil) != (i == cfg.AnalysedCore) {
-				return fmt.Errorf("sim: analysis mode requires exactly the analysed core (%d) to have a program", cfg.AnalysedCore)
-			}
-		}
-	}
-	// A reused platform starts healthy: any armed fault plan or watchdog
-	// budget belongs to the previous job and must not leak into this one.
-	m.DisarmFaults()
-	m.watchdog = 0
-
-	m.rnd.Reseed(seed)
-	for i := range m.progs {
-		m.progs[i] = nil
-	}
-	copy(m.progs, progs)
-
-	// Fork order mirrors New exactly: LLC, bus, access control, shared
-	// intermediate levels, then the per-core L1 pairs of cores that run a
-	// program.
-	m.llc.Reseed(m.rnd.Uint64())
-	m.bus.Reseed(m.rnd.Uint64())
-	m.ac.Reseed(m.rnd.Uint64())
-	m.ac.SetFixed(cfg.EFLFixedMID)
-	for i := range m.mids {
-		m.mids[i].Reseed(m.rnd.Uint64())
-	}
-
-	for i, ctl := range m.cores {
-		ctl.wakeAt = 0
-		ctl.issuedAt = 0
-		ctl.evalAt = 0
-		ctl.analysisBusWait = 0
-		if m.progs[i] == nil {
-			ctl.core = nil
-			ctl.state = stIdle
-			continue
-		}
-		if cfg.PartitionWays != nil && cfg.PartitionWays[i] == 0 {
-			return fmt.Errorf("sim: core %d runs a program but has a 0-way partition", i)
-		}
-		machine, err := isa.NewMachine(m.progs[i])
-		if err != nil {
-			return err
-		}
-		var il1, dl1 *cache.Cache
-		if ctl.core != nil {
-			il1, dl1 = ctl.core.IL1, ctl.core.DL1
-			il1.Reseed(m.rnd.Uint64())
-			dl1.Reseed(m.rnd.Uint64())
-		} else {
-			il1 = cache.New(cfg.l1Config(fmt.Sprintf("IL1-%d", i)), m.rnd.Fork())
-			dl1 = cache.New(cfg.l1Config(fmt.Sprintf("DL1-%d", i)), m.rnd.Fork())
-		}
-		ctl.core = cpu.New(i, machine, il1, dl1)
-		ctl.core.BranchPenalty = cfg.BranchPenalty
-		ctl.core.WriteThrough = cfg.DL1WriteThrough
-		m.wireCoherence(ctl.core)
-		ctl.state = stReady
-	}
-	return nil
-}
 
 // Pool caches one platform per distinct Config so that campaign workers
 // stop paying New per run: the first Get for a configuration constructs
@@ -228,21 +157,12 @@ func (p *Pool) CollectAnalysisTimes(ctx context.Context, cfg Config, prog *isa.P
 	if err != nil {
 		return nil, err
 	}
-	times := make([]float64, runs)
-	var res Result
-	for i := 0; i < runs; i++ {
-		if ctx != nil {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		if err := m.RunInto(&res); err != nil {
-			return nil, err
-		}
-		if err := p.aud.CheckRun(cfg, &res); err != nil {
-			return nil, err
-		}
-		times[i] = float64(res.PerCore[0].Cycles)
+	times := make([]float64, 0, runs)
+	if _, err := p.auditedRuns(ctx, m, cfg, runs, func(int) {}, func(t float64) bool {
+		times = append(times, t)
+		return false
+	}); err != nil {
+		return nil, err
 	}
 	return times, nil
 }
@@ -266,6 +186,15 @@ func (p *Pool) StreamAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Pr
 	if err != nil {
 		return 0, err
 	}
+	return p.auditedRuns(ctx, m, cfg, maxRuns, func(run int) { m.Rewind(seedFor(run)) }, emit)
+}
+
+// auditedRuns is the run loop both campaign shapes share. Until emit
+// stops it, maxRuns runs are consumed or ctx is cancelled (checked before
+// every run, ahead of any seeding), it seeds run n through seed(n), runs
+// m into one reused result, audits the run and feeds the analysed core's
+// execution time to emit. Returns the number of runs consumed.
+func (p *Pool) auditedRuns(ctx context.Context, m *Multicore, cfg Config, maxRuns int, seed func(run int), emit func(t float64) (stop bool)) (int, error) {
 	var res Result
 	n := 0
 	for n < maxRuns {
@@ -274,7 +203,7 @@ func (p *Pool) StreamAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Pr
 				return n, err
 			}
 		}
-		m.Rewind(seedFor(n))
+		seed(n)
 		if err := m.RunInto(&res); err != nil {
 			return n, err
 		}

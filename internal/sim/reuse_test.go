@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"efl/internal/bench"
 	"efl/internal/cache"
 	"efl/internal/cpu"
 	"efl/internal/isa"
@@ -32,6 +33,18 @@ func reuseScenarios() []reuseScenario {
 	td.Policy = cache.TimeDeterministic
 	wt := DefaultConfig().WithEFL(500).WithAnalysis(0)
 	wt.DL1WriteThrough = true
+	coherent := coherentConfig(bench.SCSharedBytes)
+	shared := func() []*isa.Program {
+		spec, err := bench.SharedByCode("SC")
+		if err != nil {
+			panic(err)
+		}
+		progs := make([]*isa.Program, coherent.Cores)
+		for i := range progs {
+			progs[i] = spec.Build(i)
+		}
+		return progs
+	}
 	return []reuseScenario{
 		{"efl-analysis", DefaultConfig().WithEFL(500).WithAnalysis(0), func() []*isa.Program { return analysis(prog) }},
 		{"efl-analysis-other-prog", DefaultConfig().WithEFL(500).WithAnalysis(0), func() []*isa.Program { return analysis(other) }},
@@ -40,6 +53,9 @@ func reuseScenarios() []reuseScenario {
 		{"cp-deployment", DefaultConfig().WithPartition([]int{1, 2, 4, 1}), func() []*isa.Program { return quad(other) }},
 		{"td-deployment", td, func() []*isa.Program { return []*isa.Program{prog()} }},
 		{"writethrough-analysis", wt, func() []*isa.Program { return analysis(prog) }},
+		{"three-level-deployment", threeLevelConfig(), func() []*isa.Program { return quad(prog) }},
+		{"three-level-analysis", threeLevelConfig().WithAnalysis(0), func() []*isa.Program { return analysis(other) }},
+		{"coherent-deployment", coherent, shared},
 	}
 }
 
@@ -60,9 +76,11 @@ func runFingerprints(t *testing.T, m *Multicore, n int) []string {
 // TestReuseMatchesFresh pins the Reuse contract: a platform that already
 // ran arbitrary prior work, rewound with Reuse(progs, seed), produces
 // run-for-run bit-identical results to New(cfg, progs, seed). Covered
-// across EFL/CP, analysis/deployment, TD placement and write-through
-// configurations, program swaps and multiple consecutive runs (so the
-// cross-run RII reseeding after a Reuse is exercised too).
+// across EFL/CP, analysis/deployment, TD placement, write-through, the
+// 3-level hierarchy and the MSI-coherent platform, program swaps and
+// multiple consecutive runs (so the cross-run RII reseeding after a Reuse
+// is exercised too). New itself ends in Reuse, so the golden tests are
+// the independent check of the path both take.
 func TestReuseMatchesFresh(t *testing.T) {
 	for _, sc := range reuseScenarios() {
 		t.Run(sc.name, func(t *testing.T) {
@@ -235,7 +253,7 @@ func TestPoolTraceRecordedOnce(t *testing.T) {
 		if _, err := pool.CollectAnalysisTimes(context.Background(), cfg, prog, 5, seed); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 2, 4,
+		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 0, 4,
 			func(i int) uint64 { return seed + uint64(i) }, func(float64) bool { return false }); err != nil {
 			t.Fatal(err)
 		}

@@ -191,47 +191,43 @@ func (m *Multicore) emit(cycle int64, core int, kind trace.Kind, addr uint64, ar
 // New builds a platform running progs (indexed by core; nil entries are
 // idle cores). In analysis mode exactly the AnalysedCore entry must be
 // non-nil. seed determines every random draw of the platform.
+//
+// New allocates the shared structures and the per-core shells, then ends
+// in Reuse, which builds the cores and ends in Rewind, which derives every
+// PRNG stream from seed: a fresh, a pooled and a rewound platform take the
+// same path to their first run.
 func New(cfg Config, progs []*isa.Program, seed uint64) (*Multicore, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if len(progs) > cfg.Cores {
-		return nil, fmt.Errorf("sim: %d programs for %d cores", len(progs), cfg.Cores)
-	}
-	if cfg.Mode == efl.Analysis {
-		for i, p := range progs {
-			if (p != nil) != (i == cfg.AnalysedCore) {
-				return nil, fmt.Errorf("sim: analysis mode requires exactly the analysed core (%d) to have a program", cfg.AnalysedCore)
-			}
-		}
-	}
-	m := &Multicore{cfg: cfg, rnd: rng.New(seed)}
-	m.progs = make([]*isa.Program, cfg.Cores)
-	copy(m.progs, progs)
-
-	m.llc = cache.New(cfg.llcConfig(), m.rnd.Fork())
-	m.bus = bus.New(cfg.BusSlotCycles, m.rnd.Fork())
-	m.mc = memctrl.New(cfg.MemCycles, cfg.MemSlotCycles, cfg.Cores)
 	analysed := -1
 	if cfg.Mode == efl.Analysis {
 		analysed = cfg.AnalysedCore
 	}
-	ac, err := efl.NewAccessControl(cfg.Cores, cfg.MID, cfg.Mode, analysed, m.rnd.Fork())
+	ac, err := efl.NewAccessControl(cfg.Cores, cfg.MID, cfg.Mode, analysed, unseeded())
 	if err != nil {
 		return nil, err
 	}
-	ac.SetFixed(cfg.EFLFixedMID)
-	m.ac = ac
-
-	// Shared intermediate levels fork after the access control, so the
-	// default two-level layout (no intermediates) consumes exactly the
-	// PRNG draws it always did.
-	m.levSpecs = cfg.levels()
+	m := &Multicore{
+		cfg:       cfg,
+		rnd:       unseeded(),
+		llc:       cache.New(cfg.llcConfig(), unseeded()),
+		bus:       bus.New(cfg.BusSlotCycles, unseeded()),
+		mc:        memctrl.New(cfg.MemCycles, cfg.MemSlotCycles, cfg.Cores),
+		ac:        ac,
+		cores:     make([]*coreCtl, cfg.Cores),
+		progs:     make([]*isa.Program, cfg.Cores),
+		levSpecs:  cfg.levels(),
+		cohDropTo: -1,
+		evReady:   make([]int64, cfg.Cores),
+		evWake:    make([]int64, cfg.Cores),
+		evCRG:     make([]int64, cfg.Cores),
+	}
 	if mids := cfg.midSpecs(); len(mids) > 0 {
 		m.mids = make([]cache.Level, len(mids))
 		m.midMask = make([]cache.WayMask, len(mids))
 		for i, s := range mids {
-			m.mids[i] = cache.Level{Spec: s, Cache: cache.New(s.Config(cfg.LineBytes), m.rnd.Fork())}
+			m.mids[i] = cache.Level{Spec: s, Cache: cache.New(s.Config(cfg.LineBytes), unseeded())}
 			m.midMask[i] = cache.FullMask(s.Ways)
 		}
 	}
@@ -239,47 +235,105 @@ func New(cfg Config, progs []*isa.Program, seed uint64) (*Multicore, error) {
 	for i := range m.shLat {
 		m.shLat[i] = m.levSpecs[i+1].LatencyCycles
 	}
-	m.cohDropTo = -1
 	if cfg.coherent() {
 		m.coh = newCohDir(m)
 	}
-
-	m.cores = make([]*coreCtl, cfg.Cores)
-	m.evReady = make([]int64, cfg.Cores)
-	m.evWake = make([]int64, cfg.Cores)
-	m.evCRG = make([]int64, cfg.Cores)
 	for i := range m.cores {
-		ctl := &coreCtl{id: i, state: stIdle, llcMask: cfg.llcMask(i), owner: -1}
+		ctl := &coreCtl{id: i, llcMask: cfg.llcMask(i), owner: -1}
 		if cfg.PartitionWays != nil {
 			ctl.owner = i
 		}
-		if m.progs[i] != nil {
-			if cfg.PartitionWays != nil && cfg.PartitionWays[i] == 0 {
-				return nil, fmt.Errorf("sim: core %d runs a program but has a 0-way partition", i)
-			}
-			machine, err := isa.NewMachine(m.progs[i])
-			if err != nil {
-				return nil, err
-			}
-			il1 := cache.New(cfg.l1Config(fmt.Sprintf("IL1-%d", i)), m.rnd.Fork())
-			dl1 := cache.New(cfg.l1Config(fmt.Sprintf("DL1-%d", i)), m.rnd.Fork())
-			ctl.core = cpu.New(i, machine, il1, dl1)
-			ctl.core.BranchPenalty = cfg.BranchPenalty
-			ctl.core.WriteThrough = cfg.DL1WriteThrough
-			m.wireCoherence(ctl.core)
-			ctl.state = stReady
-		}
 		m.cores[i] = ctl
+	}
+	if err := m.Reuse(progs, seed); err != nil {
+		return nil, err
 	}
 	return m, nil
 }
 
-// wireCoherence attaches the shared-data window and the MSI directory to a
-// freshly constructed core (a no-op when the coherence layer is off).
-func (m *Multicore) wireCoherence(c *cpu.Core) {
-	if m.coh != nil {
-		c.SharedLimit = isa.DataBase + uint64(m.cfg.SharedDataBytes)
-		c.Coh = m.coh
+// unseeded is the stream a structure is built with before Rewind derives
+// its real one from the platform seed.
+func unseeded() rng.Stream { return rng.New(0) }
+
+// Reuse swaps progs in for the platform's program set and rewinds it
+// under seed: the result is bit-identical to New(m.Config(), progs, seed)
+// (pinned by TestReuseMatchesFresh), which is how New itself finishes.
+// Cores that stay active keep their L1 line arrays; cores that become
+// active get new L1s, seeded by Rewind like every other structure.
+// Campaign code reuses one platform per (worker, Config) through Pool
+// instead of constructing thousands.
+func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
+	cfg := m.cfg
+	if len(progs) > cfg.Cores {
+		return fmt.Errorf("sim: %d programs for %d cores", len(progs), cfg.Cores)
+	}
+	if cfg.Mode == efl.Analysis {
+		for i, p := range progs {
+			if (p != nil) != (i == cfg.AnalysedCore) {
+				return fmt.Errorf("sim: analysis mode requires exactly the analysed core (%d) to have a program", cfg.AnalysedCore)
+			}
+		}
+	}
+	clear(m.progs)
+	copy(m.progs, progs)
+	for i, ctl := range m.cores {
+		if m.progs[i] == nil {
+			ctl.core = nil
+			continue
+		}
+		if cfg.PartitionWays != nil && cfg.PartitionWays[i] == 0 {
+			return fmt.Errorf("sim: core %d runs a program but has a 0-way partition", i)
+		}
+		machine, err := isa.NewMachine(m.progs[i])
+		if err != nil {
+			return err
+		}
+		var il1, dl1 *cache.Cache
+		if ctl.core != nil {
+			il1, dl1 = ctl.core.IL1, ctl.core.DL1
+		} else {
+			il1 = cache.New(cfg.l1Config(fmt.Sprintf("IL1-%d", i)), unseeded())
+			dl1 = cache.New(cfg.l1Config(fmt.Sprintf("DL1-%d", i)), unseeded())
+		}
+		ctl.core = cpu.New(i, machine, il1, dl1)
+		ctl.core.BranchPenalty = cfg.BranchPenalty
+		ctl.core.WriteThrough = cfg.DL1WriteThrough
+		if m.coh != nil {
+			ctl.core.SharedLimit = isa.DataBase + uint64(cfg.SharedDataBytes)
+			ctl.core.Coh = m.coh
+		}
+	}
+	m.Rewind(seed)
+	return nil
+}
+
+// Rewind re-derives every PRNG stream of the platform from seed, leaving
+// it as New(m.Config(), progs, seed) would for its current programs
+// (pinned by TestRewindMatchesFresh) without allocating. The fork order
+// below is the one rule that fixes a sample's bits: the LLC, the bus, the
+// EFL fabric, the shared intermediate levels, then the IL1/DL1 pair of
+// every core that runs a program. Run state (caches, machines, pipeline,
+// event candidates) is rewound by the reset every RunInto performs, so
+// Rewind only needs to rewind what reset does not: the seed-derived
+// streams, plus any fault plan or watchdog budget left by the previous
+// job.
+func (m *Multicore) Rewind(seed uint64) {
+	m.DisarmFaults()
+	m.watchdog = 0
+
+	m.rnd.Reseed(seed)
+	m.llc.Reseed(m.rnd.Uint64())
+	m.bus.Reseed(m.rnd.Uint64())
+	m.ac.Reseed(m.rnd.Uint64())
+	m.ac.SetFixed(m.cfg.EFLFixedMID)
+	for i := range m.mids {
+		m.mids[i].Reseed(m.rnd.Uint64())
+	}
+	for _, ctl := range m.cores {
+		if ctl.core != nil {
+			ctl.core.IL1.Reseed(m.rnd.Uint64())
+			ctl.core.DL1.Reseed(m.rnd.Uint64())
+		}
 	}
 }
 
@@ -530,13 +584,8 @@ func (m *Multicore) generalAdvance(limit int64) error {
 			}
 			if req.Kind == memctrl.Read {
 				ctl := m.cores[req.Core]
-				ctl.state = stWaitWake
-				ctl.wakeAt = done
 				lat := done - req.Arrival
-				ctl.acct.Add(metrics.MemWait, lat)
-				if lat > ctl.maxReadLat {
-					ctl.maxReadLat = lat
-				}
+				m.memRead(ctl, done, lat)
 				m.noteCore(ctl)
 				m.emit(done, req.Core, trace.EvMemRead, 0, lat)
 			} else {
@@ -550,21 +599,7 @@ func (m *Multicore) generalAdvance(limit int64) error {
 				m.evBus = never
 			}
 			ctl := m.cores[win.Core]
-			if ctl.req.Kind == cpu.ReqUpgrade {
-				// Coherence upgrade: the granted slot broadcasts the
-				// invalidation; no cache level is consulted. The whole
-				// transaction is attributed to the coherence category.
-				m.serveUpgrade(ctl, at, at-win.Arrival)
-				m.noteCore(ctl)
-				m.emit(at, win.Core, trace.EvBusGrant, ctl.req.Addr, at-win.Arrival)
-				continue
-			}
-			ctl.state = stWaitEval
-			ctl.wakeAt = at + m.cfg.BusSlotCycles + m.shLat[0]
-			ctl.evalAt = ctl.wakeAt
-			ctl.acct.Add(metrics.BusWait, at-win.Arrival)
-			ctl.acct.Add(metrics.BusSlot, m.cfg.BusSlotCycles)
-			ctl.acct.Add(metrics.LLCLookup, m.shLat[0])
+			m.granted(ctl, at, at-win.Arrival)
 			m.noteCore(ctl)
 			m.emit(at, win.Core, trace.EvBusGrant, ctl.req.Addr, at-win.Arrival)
 		}
@@ -601,34 +636,43 @@ func (m *Multicore) issueRequest(ctl *coreCtl, t int64) {
 		// arbitration slot.
 		wait := bus.AnalysisDelay(m.rnd, m.cfg.Cores-1, m.cfg.BusSlotCycles)
 		ctl.analysisBusWait += wait
-		if ctl.req.Kind == cpu.ReqUpgrade {
-			// Coherence upgrade under the contention envelope: the
-			// broadcast costs the phantom bus wait plus the slot, charged
-			// to the coherence category; no cache level is consulted.
-			m.serveUpgrade(ctl, t+wait, wait)
-			return
-		}
-		ctl.state = stWaitEval
-		ctl.wakeAt = t + wait + m.cfg.BusSlotCycles + m.shLat[0]
-		ctl.evalAt = ctl.wakeAt
-		ctl.acct.Add(metrics.BusWait, wait)
-		ctl.acct.Add(metrics.BusSlot, m.cfg.BusSlotCycles)
-		ctl.acct.Add(metrics.LLCLookup, m.shLat[0])
+		m.granted(ctl, t+wait, wait)
 		return
 	}
 	m.busRequest(bus.Request{Core: ctl.id, Arrival: t})
 	ctl.state = stWaitBus
 }
 
+// granted charges ctl the bus slot it won at cycle at after wait cycles of
+// arbitration — a real grant at deployment, the phantom-contender draw at
+// analysis. A coherence upgrade broadcasts its invalidation in the slot
+// and is done when the slot ends, the whole transaction charged to the
+// coherence category; no cache level is consulted, the line being already
+// resident in the writer's DL1. Every other request looks up the first
+// shared level when the slot ends.
+func (m *Multicore) granted(ctl *coreCtl, at, wait int64) {
+	slot := m.cfg.BusSlotCycles
+	if ctl.req.Kind == cpu.ReqUpgrade {
+		m.coh.upgrade(ctl.id, ctl.req.Addr, at)
+		ctl.acct.Add(metrics.Coherence, wait+slot)
+		ctl.state = stWaitWake
+		ctl.wakeAt = at + slot
+		ctl.evalAt = ctl.wakeAt
+		return
+	}
+	ctl.state = stWaitEval
+	ctl.wakeAt = at + slot + m.shLat[0]
+	ctl.evalAt = ctl.wakeAt
+	ctl.acct.Add(metrics.BusWait, wait)
+	ctl.acct.Add(metrics.BusSlot, slot)
+	ctl.acct.Add(metrics.LLCLookup, m.shLat[0])
+}
+
 // wake dispatches a timed wake-up.
 func (m *Multicore) wake(ctl *coreCtl) {
 	switch ctl.state {
 	case stWaitEval:
-		if len(m.mids) > 0 {
-			m.evalLevel(ctl, ctl.wakeAt)
-			return
-		}
-		m.evalLLC(ctl, ctl.wakeAt)
+		m.evalLevel(ctl, ctl.wakeAt)
 	case stWaitEAB:
 		waited := ctl.wakeAt - ctl.evalAt
 		m.performEviction(ctl, ctl.wakeAt, waited)
@@ -650,12 +694,6 @@ func (m *Multicore) wake(ctl *coreCtl) {
 // serve both the hit path and the fill, where the pre-Lookup/Access split
 // paid the hash and the scan twice per transaction.
 func (m *Multicore) evalLLC(ctl *coreCtl, t int64) {
-	if m.coh != nil && ctl.lvl == 0 {
-		// First shared level reached: serve the coherence side of a
-		// shared-line fetch (peer invalidation / downgrade) before the
-		// cache lookup.
-		m.cohServe(ctl, t)
-	}
 	write := ctl.req.Kind != cpu.ReqFetch
 	lk := m.llc.Lookup(ctl.req.Addr, ctl.llcMask)
 	switch {
@@ -720,16 +758,23 @@ func (m *Multicore) afterFill(ctl *coreCtl, t int64) {
 	}
 	if m.analysisCore(ctl) {
 		ubd := m.mc.UpperBoundDelay()
-		ctl.state = stWaitWake
-		ctl.wakeAt = t + ubd
-		ctl.acct.Add(metrics.MemWait, ubd)
-		if ubd > ctl.maxReadLat {
-			ctl.maxReadLat = ubd
-		}
+		m.memRead(ctl, t+ubd, ubd)
 		return
 	}
 	m.mcRequest(memctrl.Request{Core: ctl.id, Arrival: t, Kind: memctrl.Read})
 	ctl.state = stWaitMem
+}
+
+// memRead charges ctl a blocking memory read of lat cycles completing at
+// cycle done — the controller's queueing and service at deployment, the
+// UBD at analysis.
+func (m *Multicore) memRead(ctl *coreCtl, done, lat int64) {
+	ctl.state = stWaitWake
+	ctl.wakeAt = done
+	ctl.acct.Add(metrics.MemWait, lat)
+	if lat > ctl.maxReadLat {
+		ctl.maxReadLat = lat
+	}
 }
 
 // finishRequest completes the current transaction at cycle t and either

@@ -411,12 +411,7 @@ func (r *Reader) SeekBlock(k int) error {
 	if k < 0 || k >= len(r.index) {
 		return fmt.Errorf("workload: seek to block %d of %d", k, len(r.index))
 	}
-	e := r.index[k]
-	r.block = k
-	r.pos = int(e.offset)
-	r.end = int(e.offset) + int(e.size)
-	r.left = e.count
-	r.prev = e.prevAddr
+	r.enterBlock(k)
 	r.seen = 0
 	r.remain = r.meta.Records - uint64(r.meta.BlockLen)*uint64(k)
 	return nil
@@ -434,9 +429,10 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 		// Enter the next block, re-basing the delta on its index entry
 		// (validated equal to the running address by Validate's full
 		// scan, and what makes SeekBlock equivalent to streaming past).
-		if err := r.SeekBlockKeepProgress(r.block + 1); err != nil {
-			return false, err
+		if r.block+1 >= len(r.index) {
+			return false, fmt.Errorf("workload: record stream ran past block %d of %d", r.block+1, len(r.index))
 		}
+		r.enterBlock(r.block + 1)
 	}
 	v1, n := binary.Uvarint(r.data[r.pos:r.end])
 	if n <= 0 {
@@ -471,19 +467,16 @@ func (r *Reader) Next(rec *Record) (bool, error) {
 	return true, nil
 }
 
-// SeekBlockKeepProgress advances into block k preserving the streaming
-// counters (internal block-boundary crossing; SeekBlock resets them).
-func (r *Reader) SeekBlockKeepProgress(k int) error {
-	if k < 0 || k >= len(r.index) {
-		return fmt.Errorf("workload: record stream ran past block %d of %d", k, len(r.index))
-	}
+// enterBlock positions the reader at the first record of block k (in
+// range) without touching the streaming counters: Next crosses block
+// boundaries with it, SeekBlock also resets the counters.
+func (r *Reader) enterBlock(k int) {
 	e := r.index[k]
 	r.block = k
 	r.pos = int(e.offset)
 	r.end = int(e.offset) + int(e.size)
 	r.left = e.count
 	r.prev = e.prevAddr
-	return nil
 }
 
 // Validate fully decodes data, checking every record and the block

@@ -144,9 +144,9 @@ func TestReplayAuditedRun(t *testing.T) {
 	}
 }
 
-// TestReplayLockstepK8 pins per-index seeding on a traced workload: run
+// TestReplayStreamMatchesFresh pins per-index seeding on a traced workload: run
 // i of a stream is exactly a fresh RunAnalysis under seedFor(i).
-func TestReplayLockstepK8(t *testing.T) {
+func TestReplayStreamMatchesFresh(t *testing.T) {
 	data := genTrace(t, testSpec())
 	prog, err := Replay("lockstep", data)
 	if err != nil {
@@ -156,7 +156,7 @@ func TestReplayLockstepK8(t *testing.T) {
 	seedFor := func(i int) uint64 { return 9000 + 7*uint64(i) }
 	const runs = 24
 	var times []float64
-	n, err := sim.NewPool().StreamAnalysisTimes(nil, cfg, prog, 8, runs, seedFor,
+	n, err := sim.NewPool().StreamAnalysisTimes(nil, cfg, prog, 0, runs, seedFor,
 		func(v float64) bool { times = append(times, v); return false })
 	if err != nil {
 		t.Fatalf("StreamAnalysisTimes: %v", err)

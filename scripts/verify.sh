@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # verify.sh — the repo's verification gate: static checks, full build,
-# full test suite, the race detector on the simulation hot-path packages
-# (the ones the performance work touches), the campaign, service and fleet
-# smokes, and the bench gate. CI runs this script, then the perfbench
-# oracle. Run from anywhere:
+# full test suite, the race detector on every package except the long
+# experiments campaigns, the campaign, service and fleet smokes, and the
+# bench gate. CI runs this script, then the perfbench oracle. Run from
+# anywhere:
 #
 #   ./scripts/verify.sh          # everything (full test suite is slow: ~2min)
 #   SHORT=1 ./scripts/verify.sh  # skip the long experiments suite
