@@ -129,7 +129,7 @@ func main() {
 		}
 		// Per-level summary, generic over the configured hierarchy (level 0
 		// aggregates the private L1 pairs; shared levels report their single
-		// instance). The legacy LLC line below stays for the default layout.
+		// instance; the last level is the LLC).
 		for _, lv := range res.PerLevel {
 			scope := "private"
 			if lv.Shared {
@@ -139,9 +139,10 @@ func main() {
 				lv.Name, scope, lv.Stats.Accesses, lv.Stats.Misses,
 				100*lv.Stats.MissRatio(), lv.Stats.Evictions, lv.Stats.ForcedEvict)
 		}
+		llc := res.PerLevel[len(res.PerLevel)-1].Stats
 		fmt.Printf("  LLC: accesses=%d misses=%d (%.2f%%) evictions=%d forced=%d | bus wait=%d | mem reads=%d writes=%d\n",
-			res.LLC.Accesses, res.LLC.Misses, 100*res.LLC.MissRatio(),
-			res.LLC.Evictions, res.LLC.ForcedEvict, res.Bus.WaitCycles,
+			llc.Accesses, llc.Misses, 100*llc.MissRatio(),
+			llc.Evictions, llc.ForcedEvict, res.Bus.WaitCycles,
 			res.Mem.Reads, res.Mem.Writes)
 	}
 	if buf != nil {

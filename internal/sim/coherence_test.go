@@ -260,8 +260,8 @@ func TestThreeLevelRewindMatchesFresh(t *testing.T) {
 	}
 }
 
-// TestPerLevelStatsDefault pins satellite 2 on the default layout: the
-// generic per-level stats mirror the legacy IL1/DL1/LLC fields exactly.
+// TestPerLevelStatsDefault pins the per-level stats on the default layout:
+// level 0 sums the per-core IL1/DL1 pairs and level 1 is the LLC.
 func TestPerLevelStatsDefault(t *testing.T) {
 	cfg := DefaultConfig().WithEFL(500)
 	prog := goldenProg()
@@ -289,8 +289,8 @@ func TestPerLevelStatsDefault(t *testing.T) {
 	if l1 != res.PerLevel[0].Stats {
 		t.Errorf("level 0 stats %+v != summed L1 pairs %+v", res.PerLevel[0].Stats, l1)
 	}
-	if res.PerLevel[1].Stats != res.LLC {
-		t.Errorf("level 1 stats %+v != legacy LLC %+v", res.PerLevel[1].Stats, res.LLC)
+	if res.PerLevel[1].Stats != m.llc.Stats() {
+		t.Errorf("level 1 stats %+v != LLC %+v", res.PerLevel[1].Stats, m.llc.Stats())
 	}
 }
 

@@ -55,7 +55,7 @@ func TestWritebackPathReachesMemory(t *testing.T) {
 	if res.Mem.Writes == 0 {
 		t.Fatal("no posted memory writes despite dirty LLC evictions")
 	}
-	if res.LLC.Writebacks == 0 {
+	if llcStats(res).Writebacks == 0 {
 		t.Fatal("LLC recorded no writebacks")
 	}
 }
@@ -102,12 +102,13 @@ func TestEveryTRMissIsAnEviction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LLC.Misses == 0 {
+	llc := llcStats(res)
+	if llc.Misses == 0 {
 		t.Fatal("no LLC misses")
 	}
-	if res.PerCore[0].EFL.Evictions != res.LLC.Misses {
+	if res.PerCore[0].EFL.Evictions != llc.Misses {
 		t.Fatalf("EFL evictions (%d) != LLC misses (%d): some miss bypassed the gate",
-			res.PerCore[0].EFL.Evictions, res.LLC.Misses)
+			res.PerCore[0].EFL.Evictions, llc.Misses)
 	}
 }
 
@@ -125,11 +126,12 @@ func TestTDPlatformFillsWithoutGate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LLC.Misses == 0 {
+	llc := llcStats(res)
+	if llc.Misses == 0 {
 		t.Fatal("no LLC misses")
 	}
-	if res.LLC.Evictions >= res.LLC.Misses {
-		t.Fatalf("TD LLC evictions (%d) not below misses (%d)", res.LLC.Evictions, res.LLC.Misses)
+	if llc.Evictions >= llc.Misses {
+		t.Fatalf("TD LLC evictions (%d) not below misses (%d)", llc.Evictions, llc.Misses)
 	}
 }
 
@@ -187,7 +189,7 @@ func TestStressRandomPrograms(t *testing.T) {
 				t.Fatalf("trial %d core %d: IL1 stats inconsistent", trial, c)
 			}
 		}
-		if res.LLC.Hits+res.LLC.Misses != res.LLC.Accesses {
+		if llc := llcStats(res); llc.Hits+llc.Misses != llc.Accesses {
 			t.Fatalf("trial %d: LLC stats inconsistent", trial)
 		}
 	}

@@ -95,15 +95,12 @@ type LevelStats struct {
 // Result is the outcome of one complete run.
 type Result struct {
 	PerCore     []CoreResult
-	LLC         cache.Stats
 	Bus         bus.Stats
 	Mem         memctrl.Stats
 	TotalCycles int64 // slowest active core
 
 	// PerLevel reports every hierarchy level generically, keyed by level
-	// name and ordered from L1 outward. On the default two-level layout it
-	// carries the same numbers as the legacy IL1/DL1 (merged) and LLC
-	// fields, which stay populated.
+	// name and ordered from L1 outward; the last entry is the LLC.
 	PerLevel []LevelStats
 
 	// Latency distributions of the run's shared resources (power-of-two
@@ -816,7 +813,6 @@ func (m *Multicore) collectInto(res *Result) {
 		res.PerLevel[1+i].Stats = m.mids[i].Stats()
 	}
 	res.PerLevel[nl-1].Stats = m.llc.Stats()
-	res.LLC = m.llc.Stats()
 	res.Bus = m.bus.Stats()
 	res.Mem = m.mc.Stats()
 	res.BusWaitHist = m.bus.WaitHistogram()

@@ -226,11 +226,11 @@ func TestAnalysisModeCRGInterference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.LLC.ForcedEvict == 0 {
+	if llcStats(res).ForcedEvict == 0 {
 		t.Fatal("analysis mode with EFL produced no CRG evictions")
 	}
 	// Roughly one eviction per MID cycles per co-runner core.
-	perCRG := float64(res.LLC.ForcedEvict) / 3
+	perCRG := float64(llcStats(res).ForcedEvict) / 3
 	cycles := float64(res.PerCore[0].Cycles)
 	rate := cycles / perCRG
 	if rate < 200 || rate > 320 {
@@ -433,10 +433,10 @@ func TestModeRecordedInResults(t *testing.T) {
 	}
 	// In analysis mode the analysed core's EFL stats must show evictions
 	// being recorded, and the mode must be analysis.
-	if res.PerCore[0].EFL.Evictions == 0 && res.LLC.Misses > 0 {
+	if res.PerCore[0].EFL.Evictions == 0 && llcStats(res).Misses > 0 {
 		// Only fails if the program missed in LLC with a full set; this
 		// small program may not evict. Accept either, but CRGs must run:
-		if res.LLC.ForcedEvict == 0 {
+		if llcStats(res).ForcedEvict == 0 {
 			t.Fatal("no eviction activity at analysis")
 		}
 	}
