@@ -124,15 +124,16 @@ func (m *Multicore) analysisAdvance(limit int64) error {
 	}
 }
 
-// setReplay attaches tr to the analysed core (nil detaches), so runs on
-// this platform replay the recorded trace instead of interpreting. Replay
-// runs in burst mode: the core retires whole stretches of hitting
-// instructions per Step call, yielding only at shared-memory stalls and at
-// the run-abort bounds (instruction ceiling, cycle limit — the latter set
-// per run by setReplayYield).
+// setReplay attaches tr to the analysed core (nil detaches), so the
+// core's Step takes its instructions from the recorded trace instead of
+// the interpreter; the timing code is the same either way. Replay runs in
+// burst mode: the core retires whole stretches of hitting instructions per
+// Step call, yielding only at shared-memory stalls and at the run-abort
+// bounds (instruction ceiling, cycle limit — the latter set per run by
+// setReplayYield).
 func (m *Multicore) setReplay(tr *cpu.Trace) {
 	if m.coh != nil {
-		// Replay elides same-line repeat accesses, which would skip the
+		// Replay's same-line elision skips the access, and with it the
 		// per-access coherence Touch; coherent platforms always interpret.
 		return
 	}
