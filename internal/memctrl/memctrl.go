@@ -20,10 +20,19 @@
 //     read is eligible) and completes Service cycles later.
 //   - Analysis: the task under analysis charges the UBD for every memory
 //     read, upper-bounding any deployment-time queueing.
+//
+// The deployment queue has two parts. Blocking reads wait in a small
+// slice in enqueue order: the platform has at most one outstanding read
+// per core, so a linear pick is cheap. Posted writes wait in a binary
+// min-heap keyed by (arrival, enqueue sequence), because read priority
+// lets them pile up: a coherent deployment holds hundreds to thousands of
+// them. One issue therefore costs O(log backlog), with exactly the
+// choices of a linear scan over one queue in enqueue order.
 package memctrl
 
 import (
 	"fmt"
+	"math"
 
 	"efl/internal/metrics"
 )
@@ -55,14 +64,21 @@ type Stats struct {
 	BusySlots  int64 // issue slots consumed
 }
 
-// Controller is the shared memory controller.
+// Controller is the shared memory controller. Pending blocking reads sit
+// in reads, in enqueue order; posted writes sit in the min-heap writes,
+// ordered by (Arrival, seq). The requests of one arrival cycle in the
+// heap form a subtree at its root, so the write issue walks only that
+// group before an O(log n) removal. Both backing arrays are reused across
+// runs: serving allocates nothing.
 type Controller struct {
 	service int64 // access latency from issue to completion (100)
 	slot    int64 // minimum spacing between issues (bandwidth limit)
 	cores   int
-	nextAt  int64 // earliest next issue cycle
-	rr      int   // round-robin pointer for tie-breaking
-	wait    []Request
+	nextAt  int64  // earliest next issue cycle
+	rr      int    // round-robin pointer for tie-breaking
+	seq     uint64 // writes enqueued since Reset
+	reads   []Request
+	writes  []queued
 	stats   Stats
 	// readLat distributes end-to-end blocking-read latencies (completion −
 	// arrival). Its Max is what the soundness auditor compares against
@@ -74,6 +90,13 @@ type Controller struct {
 	overrunExtra  int64
 	overrunPeriod uint64
 	overrunCount  uint64
+}
+
+// queued is a posted write with its enqueue sequence number, which
+// orders the writes of one core that share an arrival cycle.
+type queued struct {
+	Request
+	seq uint64
 }
 
 // InjectReadOverrun makes every period-th blocking read complete extra
@@ -132,25 +155,38 @@ func (c *Controller) MaxReadLatency() int64 { return c.readLat.Max() }
 func (c *Controller) Reset() {
 	c.nextAt = 0
 	c.rr = 0
-	c.wait = c.wait[:0]
+	c.seq = 0
+	c.reads = c.reads[:0]
+	c.writes = c.writes[:0]
 	c.stats = Stats{}
 	c.readLat.Reset()
 }
 
 // Request enqueues a transaction.
-func (c *Controller) Request(r Request) { c.wait = append(c.wait, r) }
+func (c *Controller) Request(r Request) {
+	if r.Kind == Read {
+		c.reads = append(c.reads, r)
+		return
+	}
+	c.seq++
+	c.writes = append(c.writes, queued{r, c.seq})
+	c.siftUp(len(c.writes) - 1)
+}
 
 // HasWaiters reports whether any request is pending.
-func (c *Controller) HasWaiters() bool { return len(c.wait) > 0 }
+func (c *Controller) HasWaiters() bool { return len(c.reads)+len(c.writes) > 0 }
 
 // NextStartTime returns the earliest cycle the next issue can happen.
 // It panics without waiters.
 func (c *Controller) NextStartTime() int64 {
-	if len(c.wait) == 0 {
+	if !c.HasWaiters() {
 		panic("memctrl: NextStartTime without waiters")
 	}
-	min := c.wait[0].Arrival
-	for _, r := range c.wait[1:] {
+	min := int64(math.MaxInt64)
+	if len(c.writes) > 0 {
+		min = c.writes[0].Arrival
+	}
+	for _, r := range c.reads {
 		if r.Arrival < min {
 			min = r.Arrival
 		}
@@ -163,32 +199,32 @@ func (c *Controller) NextStartTime() int64 {
 
 // Serve issues the next request: among requests that have arrived by the
 // issue time, reads precede writes; within a kind the oldest wins, with
-// arrival ties broken round-robin by core. It returns the issued request
-// and its completion cycle. The caller must ensure no earlier request can
-// still be injected.
+// arrival ties broken round-robin by core and then by enqueue order. It
+// returns the issued request and its completion cycle. The caller must
+// ensure no earlier request can still be injected.
 func (c *Controller) Serve() (Request, int64) {
 	t := c.NextStartTime()
 	best := -1
-	better := func(i, b int) bool {
-		r, cur := c.wait[i], c.wait[b]
-		if (r.Kind == Read) != (cur.Kind == Read) {
-			return r.Kind == Read
-		}
-		if r.Arrival != cur.Arrival {
-			return r.Arrival < cur.Arrival
-		}
-		return c.rrBefore(r.Core, cur.Core)
-	}
-	for i, r := range c.wait {
+	for i, r := range c.reads {
 		if r.Arrival > t {
 			continue
 		}
-		if best == -1 || better(i, best) {
+		if best == -1 || r.Arrival < c.reads[best].Arrival ||
+			r.Arrival == c.reads[best].Arrival && c.rrBefore(r.Core, c.reads[best].Core) {
 			best = i
 		}
 	}
-	req := c.wait[best]
-	c.wait = append(c.wait[:best], c.wait[best+1:]...)
+	var req Request
+	if best >= 0 {
+		req = c.reads[best]
+		c.reads = append(c.reads[:best], c.reads[best+1:]...)
+	} else {
+		// No read is eligible, so the oldest arrival is a write's: the
+		// heap top's, and t is at or past it.
+		best = c.writeWinner(2, c.writeWinner(1, 0))
+		req = c.writes[best].Request
+		c.removeWrite(best)
+	}
 	done := t + c.service
 	c.nextAt = t + c.slot
 	c.rr = (req.Core + 1) % c.cores
@@ -209,6 +245,71 @@ func (c *Controller) Serve() (Request, int64) {
 	return req, done
 }
 
+// writeWinner returns the heap index of the write to issue, given best,
+// the winner among the writes visited so far, and i, the root of a
+// subtree not yet visited. The candidates are the writes that share the
+// heap top's arrival; the winner is the first core in round-robin order,
+// and that core's earliest-enqueued write. A heap node's ancestors are
+// never later than it, so the candidates form a subtree containing the
+// root, and the walk stops at the first later node on each path.
+func (c *Controller) writeWinner(i, best int) int {
+	h := c.writes
+	if i >= len(h) || h[i].Arrival != h[0].Arrival {
+		return best
+	}
+	w, b := h[i], h[best]
+	if c.rrBefore(w.Core, b.Core) || w.Core == b.Core && w.seq < b.seq {
+		best = i
+	}
+	return c.writeWinner(2*i+2, c.writeWinner(2*i+1, best))
+}
+
+// removeWrite deletes heap entry i, moving the last entry into its place.
+func (c *Controller) removeWrite(i int) {
+	last := len(c.writes) - 1
+	c.writes[i] = c.writes[last]
+	c.writes = c.writes[:last]
+	if i < last {
+		c.siftDown(i)
+		c.siftUp(i)
+	}
+}
+
+// before orders the write heap by arrival, then enqueue sequence.
+func (c *Controller) before(i, j int) bool {
+	a, b := &c.writes[i], &c.writes[j]
+	return a.Arrival < b.Arrival || a.Arrival == b.Arrival && a.seq < b.seq
+}
+
+func (c *Controller) siftUp(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !c.before(i, p) {
+			return
+		}
+		c.writes[i], c.writes[p] = c.writes[p], c.writes[i]
+		i = p
+	}
+}
+
+func (c *Controller) siftDown(i int) {
+	n := len(c.writes)
+	for {
+		m, l := i, 2*i+1
+		if l < n && c.before(l, m) {
+			m = l
+		}
+		if r := l + 1; r < n && c.before(r, m) {
+			m = r
+		}
+		if m == i {
+			return
+		}
+		c.writes[i], c.writes[m] = c.writes[m], c.writes[i]
+		i = m
+	}
+}
+
 // rrBefore reports whether core a precedes core b in the current
 // round-robin order.
 func (c *Controller) rrBefore(a, b int) bool {
@@ -220,5 +321,5 @@ func (c *Controller) rrBefore(a, b int) bool {
 // String implements fmt.Stringer for diagnostics.
 func (c *Controller) String() string {
 	return fmt.Sprintf("MemCtrl{service:%d slot:%d nextAt:%d waiters:%d}",
-		c.service, c.slot, c.nextAt, len(c.wait))
+		c.service, c.slot, c.nextAt, len(c.reads)+len(c.writes))
 }
