@@ -131,6 +131,9 @@ func (m *Multicore) SharingReport() []LineSharingStats {
 	}
 	out := make([]LineSharingStats, 0, len(m.coh.lines))
 	for la, e := range m.coh.lines {
+		if e.epoch != m.coh.epoch {
+			continue // not touched this run
+		}
 		s := LineSharingStats{Addr: la, Accesses: e.acc, Writes: e.writes}
 		var union uint32
 		popSum := 0
@@ -158,8 +161,11 @@ func popcount32(v uint32) int {
 }
 
 // cohLine is one shared line's directory entry: the believed MSI state
-// plus the access statistics backing the sharing report.
+// plus the access statistics backing the sharing report. An entry whose
+// epoch is not the directory's belongs to an earlier run and reads as
+// absent.
 type cohLine struct {
+	epoch   uint64
 	owner   int8   // core holding the line in Modified, -1 none
 	sharers uint32 // bitmask of believed holders
 	touched uint32 // bitmask of cores that accessed the line this run
@@ -175,6 +181,7 @@ type cohDir struct {
 	lineMask uint64 // LineBytes-1
 	limit    uint64 // exclusive upper bound of the shared window
 	lines    map[uint64]*cohLine
+	epoch    uint64 // current run; entries of other epochs are stale
 	stats    CoherenceStats
 }
 
@@ -188,9 +195,11 @@ func newCohDir(m *Multicore) *cohDir {
 }
 
 // reset clears the directory for a fresh run (per-run caches flush, so no
-// believed holder survives either).
+// believed holder survives either). It starts a new epoch instead of
+// emptying the map, so the entries and their word masks are reused and a
+// steady-state run allocates nothing.
 func (d *cohDir) reset() {
-	clear(d.lines)
+	d.epoch++
 	d.stats = CoherenceStats{}
 }
 
@@ -199,12 +208,18 @@ func (d *cohDir) shared(addr uint64) bool {
 	return addr >= isa.DataBase && addr < d.limit
 }
 
+// ensure returns la's entry for the current run, blank on its first
+// access of the run.
 func (d *cohDir) ensure(la uint64) *cohLine {
 	e := d.lines[la]
 	if e == nil {
-		e = &cohLine{owner: -1, words: make([]uint32, len(d.m.cores))}
+		e = &cohLine{words: make([]uint32, len(d.m.cores))}
 		d.lines[la] = e
+	} else if e.epoch == d.epoch {
+		return e
 	}
+	*e = cohLine{epoch: d.epoch, owner: -1, words: e.words}
+	clear(e.words)
 	return e
 }
 

@@ -178,10 +178,17 @@ func TestL1StatsPerRun(t *testing.T) {
 // TestRunIntoZeroAlloc pins the other half of the observability contract:
 // with the audit off, the fully instrumented RunInto still allocates
 // nothing per run — in deployment, in analysis mode (the analysis_run row
-// of BENCH_SIM.json) and on the 3-level hierarchy (multilevel_run).
+// of BENCH_SIM.json), on the 3-level hierarchy (multilevel_run) and on an
+// MSI-coherent deployment of the SC and FS kernels, whose directory keeps
+// its entries across runs.
 func TestRunIntoZeroAlloc(t *testing.T) {
 	prog := goldenProg()
 	quad := []*isa.Program{prog, prog, prog, prog}
+	coherent := func(sharedBytes int) Config {
+		cfg := threeLevelConfig()
+		cfg.SharedDataBytes = sharedBytes
+		return cfg
+	}
 	cases := []struct {
 		name  string
 		cfg   Config
@@ -190,6 +197,8 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 		{"deployment", DefaultConfig().WithEFL(500), quad},
 		{"analysis", DefaultConfig().WithEFL(500).WithAnalysis(0), []*isa.Program{prog, nil, nil, nil}},
 		{"multilevel", threeLevelConfig(), quad},
+		{"coherent", coherent(bench.SCSharedBytes), sharedProgs(t, "SC", 4)},
+		{"coherent FS", coherent(bench.FSSharedBytes), sharedProgs(t, "FS", 4)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

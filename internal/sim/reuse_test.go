@@ -2,12 +2,16 @@ package sim
 
 import (
 	"context"
+	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"efl/internal/bench"
 	"efl/internal/cache"
 	"efl/internal/cpu"
 	"efl/internal/isa"
+	"efl/internal/rng"
 )
 
 // reuseScenario is one (Config, program set) combination whose Reuse
@@ -108,6 +112,112 @@ func TestReuseMatchesFresh(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestPooledRunMatchesFresh is the pooled ≡ fresh property, field by
+// field: run n of a pooled platform, rewound under a seed after unrelated
+// work, must equal run n of a fresh New at that seed in every field of
+// Result (reflect.DeepEqual), in CoherenceStats and in SharingReport.
+// It covers EFL, CP, 3-level and MSI-coherent deployments. The dirtying
+// work differs from the measured work: on the coherent platforms it
+// touches shared lines the measured kernel never does and leaves a
+// posted-write backlog behind, so a directory entry or a memory-controller
+// queue that survives a rewind shows up as a field difference. A counter
+// added later without a per-run reset fails this test.
+func TestPooledRunMatchesFresh(t *testing.T) {
+	quad := func(p *isa.Program) []*isa.Program { return []*isa.Program{p, p, p, p} }
+	shared := func(code string) []*isa.Program { return sharedProgs(t, code, 4) }
+	cases := []struct {
+		name          string
+		cfg           Config
+		progs, before []*isa.Program
+	}{
+		{"efl", DefaultConfig().WithEFL(500), quad(goldenProg()), quad(loopProg("dirty", 96, 5))},
+		{"cp", DefaultConfig().WithPartition([]int{1, 2, 4, 1}), quad(goldenProg()), quad(loopProg("dirty", 96, 5))},
+		{"three-level", threeLevelConfig(), quad(goldenProg()), quad(loopProg("dirty", 96, 5))},
+		{"coherent SC after FS", coherentConfig(bench.FSSharedBytes), shared("SC"), shared("FS")},
+		{"coherent FS after SC", coherentConfig(bench.FSSharedBytes), shared("FS"), shared("SC")},
+	}
+	type outcome struct {
+		Res     Result
+		Coh     CoherenceStats
+		Sharing []LineSharingStats
+	}
+	runs := func(m *Multicore, n int) []outcome {
+		out := make([]outcome, n)
+		for i := range out {
+			res, err := m.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i] = outcome{*res, m.CoherenceStats(), m.SharingReport()}
+		}
+		return out
+	}
+	src := rng.New(5)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			pool := NewPool()
+			m, err := pool.Get(tc.cfg, tc.before, src.Uint64())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs(m, 1+src.Intn(3))
+			for trial := 0; trial < 2; trial++ {
+				seed := src.Uint64()
+				n := 1 + src.Intn(3)
+				if trial == 0 {
+					// Pooled: Get reuses the dirtied platform.
+					if m, err = pool.Get(tc.cfg, tc.progs, seed); err != nil {
+						t.Fatal(err)
+					}
+				} else {
+					// Rewound: the same programs, after n runs of them.
+					m.Rewind(seed)
+				}
+				fresh, err := New(tc.cfg, tc.progs, seed)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, want := runs(m, n), runs(fresh, n)
+				for i := range want {
+					if !reflect.DeepEqual(got[i], want[i]) {
+						var diffs []string
+						fieldDiffs("", reflect.ValueOf(got[i]), reflect.ValueOf(want[i]), &diffs)
+						t.Fatalf("trial %d, seed %d, run %d of %d differs from a fresh platform:\n%s",
+							trial, seed, i+1, n, strings.Join(diffs, "\n"))
+					}
+				}
+				if len(want[0].Sharing) == 0 != (tc.cfg.SharedDataBytes == 0) {
+					t.Fatalf("sharing report has %d lines", len(want[0].Sharing))
+				}
+			}
+		})
+	}
+}
+
+// fieldDiffs appends the path and both values of every leaf where a and b
+// differ, walking structs, arrays and slices by reflection (unexported
+// fields included), so a failing comparison names the counter at fault.
+func fieldDiffs(path string, a, b reflect.Value, out *[]string) {
+	switch a.Kind() {
+	case reflect.Struct:
+		for i := 0; i < a.NumField(); i++ {
+			fieldDiffs(path+"."+a.Type().Field(i).Name, a.Field(i), b.Field(i), out)
+		}
+	case reflect.Array, reflect.Slice:
+		if a.Len() != b.Len() {
+			*out = append(*out, fmt.Sprintf("%s: len %d, fresh %d", path, a.Len(), b.Len()))
+			return
+		}
+		for i := 0; i < a.Len(); i++ {
+			fieldDiffs(fmt.Sprintf("%s[%d]", path, i), a.Index(i), b.Index(i), out)
+		}
+	default:
+		if av, bv := fmt.Sprint(a), fmt.Sprint(b); av != bv {
+			*out = append(*out, fmt.Sprintf("%s: %s, fresh %s", path, av, bv))
+		}
 	}
 }
 
