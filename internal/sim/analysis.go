@@ -18,8 +18,9 @@ import (
 //     allocates nothing;
 //   - the event loop is the analysis-mode specialisation (analysisAdvance):
 //     with exactly one active core and no bus/memory-controller events, the
-//     per-event candidate scan collapses to three candidates instead of
-//     5 x Cores.
+//     per-event candidate scan reads the analysed core's one candidate and
+//     the CRGs, and a wake chain dispatches without rescanning, where the
+//     general loop scans 2 x Cores + 2 candidates per event.
 //
 // Every shortcut is bit-identical to a fresh interpreted run through the
 // general event loop — pinned by the all-kernel golden test and the
@@ -49,8 +50,11 @@ func (m *Multicore) analysisAdvance(limit int64) error {
 	a := m.cfg.AnalysedCore
 	ctl := m.cores[a]
 	for {
-		tCore := m.evReady[a]
-		tWake := m.evWake[a]
+		e := m.evCore[a]
+		tCore, tWake := e.t, never
+		if e.wake {
+			tCore, tWake = never, e.t
+		}
 		tCRG, crgIdx := never, -1
 		for i := range m.evCRG {
 			if t := m.evCRG[i]; t < tCRG {

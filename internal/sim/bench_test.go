@@ -1,10 +1,11 @@
 package sim
 
-// Micro-benchmarks for the simulation hot path. BenchmarkAnalysisRun and
-// BenchmarkDeploymentQuadCore (sim_test.go) cover whole campaigns; the
-// benchmarks here isolate the two innermost operations — a shared-LLC
-// access and the parametric placement hash — so regressions can be
-// localised. Run all of them with:
+// Benchmarks for the simulation hot path. BenchmarkAnalysisRun and
+// BenchmarkDeploymentQuadCore (sim_test.go) cover whole campaigns, and
+// BenchmarkDeploymentKinds below splits deployment runs by platform kind;
+// the other benchmarks here isolate the two innermost operations — a
+// shared-LLC access and the parametric placement hash — so regressions
+// can be localised. Run all of them with:
 //
 //	go test -run XXX -bench . -benchmem ./internal/sim/
 //
@@ -17,7 +18,9 @@ package sim
 import (
 	"testing"
 
+	"efl/internal/bench"
 	"efl/internal/cache"
+	"efl/internal/isa"
 	"efl/internal/rng"
 	"efl/internal/rnghash"
 )
@@ -80,4 +83,68 @@ func BenchmarkHashSet(b *testing.B) {
 		sink += h.Set(uint64(i) * 31)
 	}
 	benchSink = sink
+}
+
+// BenchmarkDeploymentKinds times whole 4-core deployment runs per
+// platform kind, through Pool.Get and RunInto as the fig4 and coherence
+// campaigns take them: three fixed paper-kernel mixes under EFL (MID 500),
+// CP 2/2/2/2 and the 3-level hierarchy, and the SC and FS shared-data
+// kernels on the coherent 3-level platform. Run i (from 0) takes mix
+// i mod 3 and seed i+1. It reports ns per retired instruction (all
+// cores), so kinds whose runs differ in length compare directly:
+//
+//	go test -run XXX -bench DeploymentKinds ./internal/sim/
+func BenchmarkDeploymentKinds(b *testing.B) {
+	build := func(codes ...string) []*isa.Program {
+		progs := make([]*isa.Program, len(codes))
+		for i, code := range codes {
+			spec, err := bench.ByCode(code)
+			if err != nil {
+				b.Fatal(err)
+			}
+			progs[i] = spec.Build()
+		}
+		return progs
+	}
+	mixes := [][]*isa.Program{
+		build("CA", "MA", "PN", "II"),
+		build("ID", "AI", "RS", "PU"),
+		build("CN", "A2", "CA", "PN"),
+	}
+	sc, fs := threeLevelConfig(), threeLevelConfig()
+	sc.SharedDataBytes = bench.SCSharedBytes
+	fs.SharedDataBytes = bench.FSSharedBytes
+	kinds := []struct {
+		name string
+		cfg  Config
+		sets [][]*isa.Program
+	}{
+		{"efl", DefaultConfig().WithEFL(500), mixes},
+		{"cp", DefaultConfig().WithPartition([]int{2, 2, 2, 2}), mixes},
+		{"multilevel", threeLevelConfig(), mixes},
+		{"coherent-SC", sc, [][]*isa.Program{sharedProgs(b, "SC", sc.Cores)}},
+		{"coherent-FS", fs, [][]*isa.Program{sharedProgs(b, "FS", fs.Cores)}},
+	}
+	for _, k := range kinds {
+		b.Run(k.name, func(b *testing.B) {
+			pool := NewPool()
+			var res Result
+			var instrs uint64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				m, err := pool.Get(k.cfg, k.sets[i%len(k.sets)], uint64(i+1))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := m.RunInto(&res); err != nil {
+					b.Fatal(err)
+				}
+				for _, cr := range res.PerCore {
+					instrs += cr.Instrs
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(instrs), "ns/instr")
+		})
+	}
 }

@@ -34,7 +34,7 @@ func coherentConfig(sharedBytes int) Config {
 }
 
 // sharedProgs builds the per-core programs of a shared-data workload.
-func sharedProgs(t *testing.T, code string, cores int) []*isa.Program {
+func sharedProgs(t testing.TB, code string, cores int) []*isa.Program {
 	t.Helper()
 	spec, err := bench.SharedByCode(code)
 	if err != nil {

@@ -177,10 +177,10 @@ func TestL1StatsPerRun(t *testing.T) {
 
 // TestRunIntoZeroAlloc pins the other half of the observability contract:
 // with the audit off, the fully instrumented RunInto still allocates
-// nothing per run — in deployment, in analysis mode (the analysis_run row
-// of BENCH_SIM.json), on the 3-level hierarchy (multilevel_run) and on an
-// MSI-coherent deployment of the SC and FS kernels, whose directory keeps
-// its entries across runs.
+// nothing per run — in EFL and CP 2/2/2/2 deployment, in analysis mode
+// (the analysis_run row of BENCH_SIM.json), on the 3-level hierarchy
+// (multilevel_run) and on an MSI-coherent deployment of the SC and FS
+// kernels, whose directory keeps its entries across runs.
 func TestRunIntoZeroAlloc(t *testing.T) {
 	prog := goldenProg()
 	quad := []*isa.Program{prog, prog, prog, prog}
@@ -195,6 +195,7 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 		progs []*isa.Program
 	}{
 		{"deployment", DefaultConfig().WithEFL(500), quad},
+		{"cp deployment", DefaultConfig().WithPartition([]int{2, 2, 2, 2}), quad},
 		{"analysis", DefaultConfig().WithEFL(500).WithAnalysis(0), []*isa.Program{prog, nil, nil, nil}},
 		{"multilevel", threeLevelConfig(), quad},
 		{"coherent", coherent(bench.SCSharedBytes), sharedProgs(t, "SC", 4)},

@@ -20,6 +20,7 @@ type ctlState int
 
 const (
 	stReady    ctlState = iota // can execute instructions
+	stDeferred                 // ran ahead to a stalling step; its commit is due at wakeAt
 	stWaitBus                  // request queued at the bus arbiter
 	stWaitEval                 // bus granted; LLC lookup completes at wakeAt
 	stWaitEAB                  // evicting miss stalled on the EFL counter
@@ -35,7 +36,8 @@ type coreCtl struct {
 	core  *cpu.Core // nil for idle cores
 	state ctlState
 
-	wakeAt   int64        // stWaitEval / stWaitEAB / stWaitWake
+	wakeAt   int64        // stDeferred / stWaitEval / stWaitEAB / stWaitWake
+	need     cpu.Need     // stDeferred: what the stalling step needs (see commitStep)
 	req      cpu.Request  // transaction being processed
 	issuedAt int64        // when req was issued (stall accounting)
 	evalAt   int64        // when the LLC lookup completed (EAB wait basis)
@@ -149,20 +151,23 @@ type Multicore struct {
 	// of the scheduler, so each candidate is updated only when the
 	// corresponding structure changes:
 	//
-	//   evReady[i] — core i's Clock while stReady, else never
-	//   evWake[i]  — core i's wakeAt while in a timed wait, else never
-	//   evCRG[i]   — core i's CRG next fire time, never when inactive
+	//   evCore[i]  — core i's next event, never when it has none: its
+	//                Clock while stReady, the stalling step's start clock
+	//                while stDeferred (both of the core class), its wakeAt
+	//                in a timed wait (the wake class, marked wake)
+	//   evCRG[i]   — core i's CRG next fire time, never when inactive;
+	//                scanned only when crgs is set
 	//   evBus/evMC — next grant/issue time, never when idle
 	//
-	// Dispatch-order semantics (scan order, strict-less tie-breaks, the
-	// ready-before-wake-before-grant priority at equal times) are
-	// identical to the rescanning loop, which keeps PRNG draw order and
+	// Events dispatch in (time, class) order with the classes core, CRG,
+	// wake, MC, bus, the lowest core id first within a class — the order
+	// of the original rescanning loop, which keeps PRNG draw order and
 	// therefore results bit-identical.
-	evReady []int64
-	evWake  []int64
-	evCRG   []int64
-	evBus   int64
-	evMC    int64
+	evCore []coreEvent
+	evCRG  []int64
+	evBus  int64
+	evMC   int64
+	crgs   bool // some core has a CRG (analysis mode with EFL on)
 
 	// watchdog is the per-job cycle budget (0 = disabled); see SetWatchdog.
 	// faulted records whether a fault plan is armed; see fault.go.
@@ -172,6 +177,13 @@ type Multicore struct {
 
 // never is the sentinel for "no pending event".
 const never = int64(math.MaxInt64)
+
+// coreEvent is a core's next-event candidate: its time and its dispatch
+// class, which the core's state determines (see noteCore).
+type coreEvent struct {
+	t    int64
+	wake bool // a timed wait's wake-up, not the core's own step
+}
 
 // SetTracer attaches an event buffer; nil detaches. The buffer accumulates
 // across Run calls until the caller resets it, so single-run traces should
@@ -216,9 +228,11 @@ func New(cfg Config, progs []*isa.Program, seed uint64) (*Multicore, error) {
 		progs:     make([]*isa.Program, cfg.Cores),
 		levSpecs:  cfg.levels(),
 		cohDropTo: -1,
-		evReady:   make([]int64, cfg.Cores),
-		evWake:    make([]int64, cfg.Cores),
+		evCore:    make([]coreEvent, cfg.Cores),
 		evCRG:     make([]int64, cfg.Cores),
+	}
+	for i := range m.cores {
+		m.crgs = m.crgs || ac.CRG(i) != nil
 	}
 	if mids := cfg.midSpecs(); len(mids) > 0 {
 		m.mids = make([]cache.Level, len(mids))
@@ -337,17 +351,18 @@ func (m *Multicore) Rewind(seed uint64) {
 // Config returns the platform configuration.
 func (m *Multicore) Config() Config { return m.cfg }
 
-// noteCore refreshes core ctl's next-event candidates from its state.
+// noteCore refreshes core ctl's next-event candidate from its state.
 func (m *Multicore) noteCore(ctl *coreCtl) {
-	r, w := never, never
+	e := coreEvent{t: never}
 	switch ctl.state {
 	case stReady:
-		r = ctl.core.Clock
+		e.t = ctl.core.Clock
+	case stDeferred:
+		e.t = ctl.wakeAt
 	case stWaitEval, stWaitEAB, stWaitWake:
-		w = ctl.wakeAt
+		e = coreEvent{t: ctl.wakeAt, wake: true}
 	}
-	m.evReady[ctl.id] = r
-	m.evWake[ctl.id] = w
+	m.evCore[ctl.id] = e
 }
 
 // noteCRG refreshes core i's CRG fire-time candidate.
@@ -457,6 +472,18 @@ func (m *Multicore) run(res *Result, specialised bool) error {
 	return nil
 }
 
+// Dispatch classes of the general loop's candidates, in their priority at
+// equal times: core execution and wakes create bus/MC arrivals, so they
+// must run before grants/serves at the same cycle; CRG evictions apply
+// before LLC lookups at the same cycle (conservative).
+const (
+	clsCore = iota
+	clsCRG
+	clsWake
+	clsMC
+	clsBus
+)
+
 // generalAdvance is the general event loop: every core, CRG, bus grant
 // and memory-controller issue is a candidate event. It runs until every
 // core has finished or an error occurs. Deployment runs need it; on
@@ -467,26 +494,24 @@ func (m *Multicore) generalAdvance(limit int64) error {
 	// blocking other transactions.
 	hold := m.cfg.BusSlotCycles
 	for {
-		// Candidate event times, read from the incrementally maintained
-		// caches in one pass. Scan order and strict-less comparisons
-		// reproduce the original rescanning loop exactly (lowest core id
-		// wins ties). tCore2 tracks the runner-up ready clock for the
-		// batching bound below.
-		tCore, coreIdx, tCore2 := never, -1, never
-		tWake, wakeIdx := never, -1
+		// The least core candidate by (time, class, id), and the least
+		// time among the other cores' candidates (the run-ahead bound
+		// below). Strict-less comparisons keep the lowest core id on ties.
+		core, coreIdx, tCore2 := coreEvent{t: never}, -1, never
+		for i, e := range m.evCore {
+			if e.t < core.t || e.t == core.t && core.wake && !e.wake {
+				tCore2 = core.t
+				core, coreIdx = e, i
+			} else if e.t < tCore2 {
+				tCore2 = e.t
+			}
+		}
 		tCRG, crgIdx := never, -1
-		for i := range m.evReady {
-			if t := m.evReady[i]; t < tCore {
-				tCore2 = tCore
-				tCore, coreIdx = t, i
-			} else if t < tCore2 {
-				tCore2 = t
-			}
-			if t := m.evWake[i]; t < tWake {
-				tWake, wakeIdx = t, i
-			}
-			if t := m.evCRG[i]; t < tCRG {
-				tCRG, crgIdx = t, i
+		if m.crgs {
+			for i, t := range m.evCRG {
+				if t < tCRG {
+					tCRG, crgIdx = t, i
+				}
 			}
 		}
 		tBus := m.evBus
@@ -494,7 +519,7 @@ func (m *Multicore) generalAdvance(limit int64) error {
 
 		// Done? (CRG events alone do not keep a run alive: the analysis
 		// run ends when the analysed task halts.)
-		if tCore == never && tWake == never && tBus == never && tMC == never {
+		if core.t == never && tBus == never && tMC == never {
 			allDone := true
 			for _, ctl := range m.cores {
 				if ctl.state != stDone && ctl.state != stIdle {
@@ -507,72 +532,43 @@ func (m *Multicore) generalAdvance(limit int64) error {
 			return fmt.Errorf("sim: deadlock: no events but cores not done")
 		}
 
-		// Priority at equal times: core execution and wakes create bus/MC
-		// arrivals, so they must run before grants/serves at the same
-		// cycle; CRG evictions apply before LLC lookups at the same cycle
-		// (conservative).
-		min := tCore
-		if tWake < min {
-			min = tWake
+		now, cls := core.t, clsCore
+		if core.wake {
+			cls = clsWake
 		}
-		if tCRG < min {
-			min = tCRG
+		if tCRG < now || tCRG == now && cls == clsWake {
+			now, cls = tCRG, clsCRG
 		}
-		if tBus < min {
-			min = tBus
+		if tMC < now {
+			now, cls = tMC, clsMC
 		}
-		if tMC < min {
-			min = tMC
+		if tBus < now {
+			now, cls = tBus, clsBus
 		}
-		if min > limit {
+		if now > limit {
 			return m.limitExceeded(limit)
 		}
 
-		switch {
-		case tCore == min:
+		switch cls {
+		case clsCore:
 			ctl := m.cores[coreIdx]
-			// Batch: keep stepping this core while it stays ready and its
-			// clock remains strictly below every other candidate — no
-			// other event can interleave, so the scheduler need not be
-			// consulted per instruction. The bound is strict: at equal
-			// times the outer scan re-resolves priorities exactly as the
-			// original loop did.
-			otherMin := tCore2
-			if tWake < otherMin {
-				otherMin = tWake
+			var err error
+			if ctl.state == stDeferred {
+				err = m.commitStep(ctl, ctl.need)
+			} else {
+				err = m.runAhead(ctl, min(tCore2, tCRG, tBus, tMC), limit)
 			}
-			if tCRG < otherMin {
-				otherMin = tCRG
-			}
-			if tBus < otherMin {
-				otherMin = tBus
-			}
-			if tMC < otherMin {
-				otherMin = tMC
-			}
-			for {
-				if err := m.stepCore(ctl); err != nil {
-					return err
-				}
-				if ctl.state != stReady {
-					break
-				}
-				clk := ctl.core.Clock
-				if clk >= otherMin {
-					break
-				}
-				if clk > limit {
-					return m.limitExceeded(limit)
-				}
+			if err != nil {
+				return err
 			}
 			m.noteCore(ctl)
-		case tCRG == min:
+		case clsCRG:
 			m.fireCRG(crgIdx)
-		case tWake == min:
-			ctl := m.cores[wakeIdx]
+		case clsWake:
+			ctl := m.cores[coreIdx]
 			m.wake(ctl)
 			m.noteCore(ctl)
-		case tMC == min:
+		case clsMC:
 			req, done := m.mc.Serve()
 			if m.mc.HasWaiters() {
 				m.evMC = m.mc.NextStartTime()
@@ -586,9 +582,9 @@ func (m *Multicore) generalAdvance(limit int64) error {
 				m.noteCore(ctl)
 				m.emit(done, req.Core, trace.EvMemRead, 0, lat)
 			} else {
-				m.emit(min, req.Core, trace.EvMemWrite, 0, 0)
+				m.emit(now, req.Core, trace.EvMemWrite, 0, 0)
 			}
-		default: // tBus
+		default: // clsBus
 			win, at := m.bus.Grant(hold)
 			if m.bus.HasWaiters() {
 				m.evBus = m.bus.NextGrantTime()
@@ -603,13 +599,66 @@ func (m *Multicore) generalAdvance(limit int64) error {
 	}
 }
 
+// runAhead executes ctl, a ready core dispatched at its clock, through its
+// private steps. Those touch only the core's own pipeline, machine and
+// L1s, which no other event reads or writes, so they commute with every
+// event dispatched before them and need not wait for their turn. Only a
+// step that needs the platform — a shared transaction, the halt, or the
+// instruction-ceiling error — has to happen at its place in the dispatch
+// order: the step's start clock, in the core class. The first step is
+// that dispatched event itself, and a later one whose start clock is
+// strictly below otherMin (every other candidate) has nothing before it
+// either, so both commit at once; a later one at or past otherMin is
+// deferred (stDeferred) to be committed when the loop reaches it. The
+// core stops running ahead once its clock passes the cycle limit, leaving
+// the limit check to the loop.
+//
+// Coherent platforms keep the core behind every other event: a peer's
+// upgrade invalidates lines in this core's DL1 and its shared-window
+// accesses write the directory (Coh.Touch), so there its steps are not
+// private.
+func (m *Multicore) runAhead(ctl *coreCtl, otherMin, limit int64) error {
+	bound := limit
+	if m.coh != nil {
+		bound = min(limit, otherMin-1)
+	}
+	need := ctl.core.Step()
+	for m.private(ctl, need) {
+		start := ctl.core.Clock
+		if start > bound {
+			return nil
+		}
+		if need = ctl.core.Step(); !m.private(ctl, need) && start >= otherMin {
+			ctl.state = stDeferred
+			ctl.need = need
+			ctl.wakeAt = start
+			return nil
+		}
+	}
+	return m.commitStep(ctl, need)
+}
+
+// private reports whether the step of ctl that returned need is done
+// without the platform: it retired an instruction within the ceiling.
+func (m *Multicore) private(ctl *coreCtl, need cpu.Need) bool {
+	return need == cpu.NeedNone && ctl.core.Retired() <= m.cfg.MaxInstrPerCore
+}
+
 // stepCore advances a ready core by one pipeline step.
 func (m *Multicore) stepCore(ctl *coreCtl) error {
-	switch ctl.core.Step() {
+	if need := ctl.core.Step(); !m.private(ctl, need) {
+		return m.commitStep(ctl, need)
+	}
+	return nil
+}
+
+// commitStep performs the platform side of a step that returned need and
+// was not private: the instruction-ceiling error, the halt, or the issue
+// of the first pending shared transaction.
+func (m *Multicore) commitStep(ctl *coreCtl, need cpu.Need) error {
+	switch need {
 	case cpu.NeedNone:
-		if ctl.core.Retired() > m.cfg.MaxInstrPerCore {
-			return fmt.Errorf("sim: core %d exceeded %d instructions", ctl.id, m.cfg.MaxInstrPerCore)
-		}
+		return fmt.Errorf("sim: core %d exceeded %d instructions", ctl.id, m.cfg.MaxInstrPerCore)
 	case cpu.NeedHalt:
 		if err := ctl.core.Fault(); err != nil {
 			return fmt.Errorf("sim: core %d: %w", ctl.id, err)
