@@ -97,7 +97,7 @@ func BenchSuite(opt Options, code string, mid int64) (*BenchReport, error) {
 	}
 
 	// Analysis campaign: one EFL run per iteration (the MBPTA inner loop,
-	// through the analysis-specialised event loop RunInto dispatches to).
+	// through RunInto's event loop).
 	acfg := base.WithEFL(mid).WithAnalysis(0)
 	aprogs := make([]*isa.Program, acfg.Cores)
 	aprogs[0] = prog

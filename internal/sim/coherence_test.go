@@ -222,11 +222,7 @@ func TestThreeLevelStreamMatchesFresh(t *testing.T) {
 		seeds[i] = uint64(4000 + 13*i)
 	}
 	checkStream(t, cfg, prog, seeds, func(seed uint64) *Result {
-		want, err := RunAnalysis(cfg, prog, seed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return want
+		return freshAnalysis(t, cfg, prog, seed)
 	})
 }
 

@@ -3,12 +3,14 @@ package sim
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 
 	"efl/internal/bench"
 	"efl/internal/cache"
 	"efl/internal/cpu"
+	"efl/internal/efl"
 	"efl/internal/fault"
 	"efl/internal/isa"
 	"efl/internal/memctrl"
@@ -150,7 +152,7 @@ func (r *referenceLoop) referenceAdvance(limit int64) error {
 				otherMin = tMC
 			}
 			for {
-				if err := r.stepCore(ctl); err != nil {
+				if err := r.step(ctl); err != nil {
 					return err
 				}
 				if ctl.state != stReady {
@@ -202,8 +204,8 @@ func (r *referenceLoop) referenceAdvance(limit int64) error {
 	}
 }
 
-// stepCore advances a ready core by one pipeline step.
-func (r *referenceLoop) stepCore(ctl *coreCtl) error {
+// step advances a ready core by one pipeline step.
+func (r *referenceLoop) step(ctl *coreCtl) error {
 	m := r.m
 	switch ctl.core.Step() {
 	case cpu.NeedNone:
@@ -235,7 +237,9 @@ type loopPlatform struct {
 // 4-kernel mix of the paper kernels, drawn from seed, under each of EFL
 // (MID 250/500/1000), CP 2/2/2/2, the 3-level hierarchy, write-through
 // DL1s, the TD ablation policy, an idle core and three armed fault plans;
-// plus the SC and FS shared-data kernels on coherent platforms.
+// the SC and FS shared-data kernels on coherent platforms; and one random
+// kernel on core 0 of each analysis-mode platform of analysisConfigs and
+// of the 3-level hierarchy.
 func loopPlatforms(t *testing.T, seed uint64) []loopPlatform {
 	t.Helper()
 	specs := bench.All()
@@ -273,9 +277,23 @@ func loopPlatforms(t *testing.T, seed uint64) []loopPlatform {
 	}
 	fs := threeLevelConfig()
 	fs.SharedDataBytes = bench.FSSharedBytes
-	return append(kinds,
+	kinds = append(kinds,
 		loopPlatform{name: "coherent-SC", cfg: coherentConfig(bench.SCSharedBytes), progs: sharedProgs(t, "SC", 4)},
 		loopPlatform{name: "coherent-FS", cfg: fs, progs: sharedProgs(t, "FS", 4)})
+	configs := analysisConfigs()
+	configs["3level"] = threeLevelConfig()
+	names := make([]string, 0, len(configs))
+	for name := range configs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		cfg := configs[name].WithAnalysis(0)
+		progs := make([]*isa.Program, cfg.Cores)
+		progs[0] = specs[src.Intn(len(specs))].Build()
+		kinds = append(kinds, loopPlatform{name: "analysis-" + name, cfg: cfg, progs: progs})
+	}
+	return kinds
 }
 
 // loopOutcome is everything one run exposes: the result or the error, the
@@ -304,17 +322,17 @@ func loopRun(m *Multicore, buf *trace.Buffer, loop func(*Multicore, *Result) err
 	return o
 }
 
-// TestGeneralLoopMatchesReference is the differential test of the
-// run-ahead general loop: on every platform of loopPlatforms, two
-// consecutive runs through generalAdvance and through the reference loop
-// must agree in every field of Result, in CoherenceStats, SharingReport
-// and the full traced event list — and, with a watchdog budget or an
-// instruction ceiling small enough to trip, in the error.
+// TestGeneralLoopMatchesReference is the differential test of the event
+// loop: on every platform of loopPlatforms, two consecutive runs through
+// RunInto and through the reference loop must agree in every field of
+// Result, in CoherenceStats, SharingReport and the full traced event list
+// — and, with a watchdog budget or an instruction ceiling small enough to
+// trip, in the error. On analysis platforms the RunInto side replays the
+// program's recorded trace, as a pooled campaign does (interpreting when
+// the recording exceeds the instruction ceiling, as Pool.traceFor does),
+// and the reference side interprets.
 func TestGeneralLoopMatchesReference(t *testing.T) {
-	loops := [2]func(*Multicore, *Result) error{
-		func(m *Multicore, res *Result) error { return m.run(res, false) },
-		referenceRun,
-	}
+	loops := [2]func(*Multicore, *Result) error{(*Multicore).RunInto, referenceRun}
 	bufs := [2]*trace.Buffer{trace.NewBuffer(1 << 19), trace.NewBuffer(1 << 19)}
 	cases := []struct {
 		name  string
@@ -344,6 +362,10 @@ func TestGeneralLoopMatchesReference(t *testing.T) {
 					tc.setup(m)
 					m.SetTracer(bufs[i])
 					ms[i] = m
+				}
+				if p.cfg.Mode == efl.Analysis {
+					tr, _ := cpu.RecordTrace(p.progs[0], ms[0].cfg.MaxInstrPerCore)
+					ms[0].setReplay(tr)
 				}
 				for run := 1; run <= 2; run++ {
 					got := loopRun(ms[0], bufs[0], loops[0])

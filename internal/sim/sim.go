@@ -162,7 +162,8 @@ type Multicore struct {
 	// Events dispatch in (time, class) order with the classes core, CRG,
 	// wake, MC, bus, the lowest core id first within a class — the order
 	// of the original rescanning loop, which keeps PRNG draw order and
-	// therefore results bit-identical.
+	// therefore results bit-identical. A core whose next candidate stays
+	// strictly below every other one is dispatched again without a scan.
 	evCore []coreEvent
 	evCRG  []int64
 	evBus  int64
@@ -443,29 +444,16 @@ func (m *Multicore) Run() (*Result, error) {
 // RunInto is Run with a caller-owned result buffer: res's slices are
 // reused when large enough, so repeated-measurement campaigns (MBPTA
 // collects hundreds of runs per configuration) allocate nothing per run.
-// Analysis platforms run the analysis-specialised event loop
-// (analysisAdvance), everything else the general one; both give
-// bit-identical results on analysis platforms.
+// Every platform, analysis or deployment, runs the one event loop
+// (generalAdvance).
 func (m *Multicore) RunInto(res *Result) error {
-	return m.run(res, m.cfg.Mode == efl.Analysis)
-}
-
-// run executes one complete run into res through the analysis-specialised
-// event loop (specialised) or the general one.
-func (m *Multicore) run(res *Result, specialised bool) error {
 	m.reset()
 	// Effective cycle limit: the configured ceiling, tightened by the
 	// runner watchdog budget when one is armed. Exceeding the budget is a
 	// deterministic kill (ErrWatchdog), independent of wall-clock time.
 	limit := m.effectiveLimit()
 	m.setReplayYield(limit)
-	var err error
-	if specialised {
-		err = m.analysisAdvance(limit)
-	} else {
-		err = m.generalAdvance(limit)
-	}
-	if err != nil {
+	if err := m.generalAdvance(limit); err != nil {
 		return err
 	}
 	m.collectInto(res)
@@ -484,10 +472,9 @@ const (
 	clsBus
 )
 
-// generalAdvance is the general event loop: every core, CRG, bus grant
-// and memory-controller issue is a candidate event. It runs until every
-// core has finished or an error occurs. Deployment runs need it; on
-// analysis platforms it is the reference analysisAdvance is pinned against.
+// generalAdvance is the event loop of every run: every core, CRG, bus
+// grant and memory-controller issue is a candidate event. It runs until
+// every core has finished or an error occurs.
 func (m *Multicore) generalAdvance(limit int64) error {
 	// The bus is held for the arbitration slot only; the LLC itself is
 	// pipelined, so its 10-cycle access latency follows the grant without
@@ -495,8 +482,9 @@ func (m *Multicore) generalAdvance(limit int64) error {
 	hold := m.cfg.BusSlotCycles
 	for {
 		// The least core candidate by (time, class, id), and the least
-		// time among the other cores' candidates (the run-ahead bound
-		// below). Strict-less comparisons keep the lowest core id on ties.
+		// time among the other cores' candidates (part of the run-ahead
+		// and re-dispatch bound below). Strict-less comparisons keep the
+		// lowest core id on ties.
 		core, coreIdx, tCore2 := coreEvent{t: never}, -1, never
 		for i, e := range m.evCore {
 			if e.t < core.t || e.t == core.t && core.wake && !e.wake {
@@ -550,24 +538,34 @@ func (m *Multicore) generalAdvance(limit int64) error {
 		}
 
 		switch cls {
-		case clsCore:
+		case clsCore, clsWake:
+			// Dispatch the core, then again without a rescan while its
+			// new candidate stays strictly below every other one and
+			// inside the limit: the scan would pick it next anyway. Its
+			// own dispatch can queue bus or memory-controller work, so
+			// those two candidates are re-read each time round.
 			ctl := m.cores[coreIdx]
-			var err error
-			if ctl.state == stDeferred {
-				err = m.commitStep(ctl, ctl.need)
-			} else {
-				err = m.runAhead(ctl, min(tCore2, tCRG, tBus, tMC), limit)
+			for otherMin := min(tCore2, tCRG, tBus, tMC); ; {
+				var err error
+				switch ctl.state {
+				case stReady:
+					err = m.runAhead(ctl, otherMin, limit)
+				case stDeferred:
+					err = m.commitStep(ctl, ctl.need)
+				default:
+					m.wake(ctl)
+				}
+				if err != nil {
+					return err
+				}
+				m.noteCore(ctl)
+				otherMin = min(tCore2, tCRG, m.evBus, m.evMC)
+				if t := m.evCore[coreIdx].t; t >= otherMin || t > limit {
+					break
+				}
 			}
-			if err != nil {
-				return err
-			}
-			m.noteCore(ctl)
 		case clsCRG:
 			m.fireCRG(crgIdx)
-		case clsWake:
-			ctl := m.cores[coreIdx]
-			m.wake(ctl)
-			m.noteCore(ctl)
 		case clsMC:
 			req, done := m.mc.Serve()
 			if m.mc.HasWaiters() {
@@ -642,14 +640,6 @@ func (m *Multicore) runAhead(ctl *coreCtl, otherMin, limit int64) error {
 // without the platform: it retired an instruction within the ceiling.
 func (m *Multicore) private(ctl *coreCtl, need cpu.Need) bool {
 	return need == cpu.NeedNone && ctl.core.Retired() <= m.cfg.MaxInstrPerCore
-}
-
-// stepCore advances a ready core by one pipeline step.
-func (m *Multicore) stepCore(ctl *coreCtl) error {
-	if need := ctl.core.Step(); !m.private(ctl, need) {
-		return m.commitStep(ctl, need)
-	}
-	return nil
 }
 
 // commitStep performs the platform side of a step that returned need and
