@@ -20,14 +20,16 @@
 //
 // Step is the only code that times an instruction. Each instruction comes
 // from one of two sources: the interpreter (isa.Machine) or, when a
-// recorded Trace is attached (SetReplay), the trace entry at the replay
+// recorded Trace is attached (SetReplay), the packed record at the replay
 // cursor. Either source hands the same fields (fetch address, latency,
 // taken branch, HALT, fault, data address) to the same fetch, retire and
-// data-access code, so an analysis run that replays a trace and a
-// deployment run that interprets the program follow one timing model.
+// data-access code, so a replayed and an interpreted run follow one
+// timing model. Simulation pools replay every core of a non-coherent
+// platform, analysis and deployment alike; a fresh platform interprets.
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"efl/internal/cache"
@@ -155,15 +157,27 @@ type Core struct {
 	// supplied them.
 	retired uint64
 
+	// stepStart is the clock at which the step that ended the last Step
+	// call began (see StepStart).
+	stepStart int64
+
 	// replay, when attached (SetReplay), replaces the interpreter as the
-	// instruction source with a recorded architectural trace; replayIdx is
-	// the cursor. The skip flags gate the trace's same-line elision fast
-	// paths (see SetReplay); replaySegs enables whole-segment bulk replay.
-	replay          *Trace
-	replayIdx       int
-	replaySkipFetch bool
-	replaySkipData  bool
-	replaySegs      bool
+	// instruction source with a recorded architectural trace. rtags and
+	// rargs are its tag and argument streams, rpos and apos the cursors
+	// into them, rtag the record being executed (its tag byte plus the
+	// rec* flags), fline the previous fetch's line, rdata and rdata1 the
+	// data-address bases (see appendData) and rshift the trace's
+	// fetch-line shift.
+	replay *Trace
+	rtags  []byte
+	rargs  []byte
+	rpos   int
+	apos   int
+	rshift uint
+	rtag   uint16
+	fline  uint64
+	rdata  uint64
+	rdata1 uint64
 	// Burst-mode bounds (EnableReplayBurst/SetReplayYieldClock): a burst
 	// yields at the first retire past replayBurstCap instructions or past
 	// replayYieldClock cycles; replayBurstCap == 0 disables bursting.
@@ -214,7 +228,7 @@ func (c *Core) Reset() {
 	if c.replay != nil {
 		// Replay never touches the machine, so skip its (data-image copy)
 		// reset; just rewind the trace cursor.
-		c.replayIdx = 0
+		c.rewindReplay()
 	} else {
 		c.M.Reset()
 	}
@@ -223,6 +237,7 @@ func (c *Core) Reset() {
 	c.IL1.NewRun()
 	c.DL1.NewRun()
 	c.Clock = 0
+	c.stepStart = 0
 	c.execCycles = 0
 	c.retired = 0
 	c.stats = Stats{}
@@ -271,6 +286,7 @@ func (c *Core) Step() Need {
 	if c.halted {
 		return NeedHalt
 	}
+	c.stepStart = c.Clock
 	// The common path — IL1 fetch hit followed by execute — flows through
 	// both phases in one call; iterating here instead of tail-recursing
 	// keeps the per-instruction path a single stack frame.
@@ -278,25 +294,38 @@ func (c *Core) Step() Need {
 		switch c.phase {
 		case phFetch:
 			fetchAddr := uint64(noFetch)
-			if tr := c.replay; tr != nil {
-				if c.replayIdx >= len(tr.entries) {
-					// Past the final entry: the machine would report Halted.
-					return c.halt(nil)
-				}
-				if c.replaySegs && tr.segAt[c.replayIdx] >= 0 {
-					c.replaySegment(&tr.segs[tr.segAt[c.replayIdx]])
-					if c.bursting() {
-						continue
+			if c.replay != nil {
+				b := c.rtags[c.rpos]
+				c.rpos++
+				tag := uint16(b)
+				if b&tagSpecial != 0 {
+					if b <= tagSpecial|maxRun || c.replaySpecial(b) {
+						// A run or segment retires whole.
+						if b <= tagSpecial|maxRun {
+							c.replayRun(uint64(b &^ tagSpecial))
+						}
+						if c.bursting() {
+							c.stepStart = c.Clock
+							continue
+						}
+						return NeedNone
 					}
-					return NeedNone
+					tag = c.rtag
 				}
-				e := &tr.entries[c.replayIdx]
-				if e.skipFetch && c.replaySkipFetch {
+				c.rtag = tag
+				if tag&tagSkipFetch != 0 {
 					c.IL1.BulkMemoHits(1)
 					c.phase = phExec
 					continue
 				}
-				fetchAddr = e.FetchAddr
+				if tag&recNoFetch == 0 {
+					fetchAddr = (c.fline + 1) << c.rshift
+					if tag&tagJump != 0 {
+						fetchAddr = uint64(binary.LittleEndian.Uint32(c.rargs[c.apos:]))
+						c.apos += 4
+					}
+					c.fline = fetchAddr >> c.rshift
+				}
 			} else {
 				if c.M.Halted() {
 					return c.halt(nil)
@@ -325,15 +354,21 @@ func (c *Core) Step() Need {
 			var lat int64
 			var taken, halted, mem, write bool
 			var addr uint64
-			if tr := c.replay; tr != nil {
-				e := &tr.entries[c.replayIdx]
-				c.replayIdx++
-				if e.Fault {
-					return c.halt(tr.err)
+			if c.replay != nil {
+				tag := c.rtag
+				if tag&recFault != 0 {
+					return c.halt(c.replay.err)
 				}
-				lat, taken, halted = e.Latency, e.Taken, e.Halted
-				mem, write, addr = e.IsMem, e.MemWrite, e.MemAddr
-				if mem && e.skipData && c.replaySkipData {
+				lat, taken, halted = 1, tag&tagTaken != 0, tag&recHalt != 0
+				if tag&tagLat != 0 {
+					lat = int64(c.rargs[c.apos])
+					c.apos++
+				}
+				write = tag&tagWrite != 0
+				switch tag & (tagMem | tagSkipData) {
+				case tagMem:
+					addr, mem = c.dataAddr(), true
+				case tagMem | tagSkipData:
 					// Same-line access under a write-back DL1: a guaranteed
 					// memo-answered hit on the memoed line.
 					if write {
@@ -341,7 +376,6 @@ func (c *Core) Step() Need {
 					} else {
 						c.DL1.BulkMemoHits(1)
 					}
-					mem = false
 				}
 			} else {
 				si := &c.si
@@ -372,6 +406,7 @@ func (c *Core) Step() Need {
 			}
 			c.phase = phFetch
 			if c.bursting() {
+				c.stepStart = c.Clock
 				continue
 			}
 			return NeedNone
@@ -389,6 +424,13 @@ func (c *Core) Step() Need {
 		}
 	}
 }
+
+// StepStart returns the clock at which the step that ended the last Step
+// call began: the call's start clock, or in a replay burst the start of
+// its last instruction (or of the resumption that ended the burst). A
+// simulator that lets a core run ahead places a stalling step's shared
+// transaction at this clock.
+func (c *Core) StepStart() int64 { return c.stepStart }
 
 // halt stops the core, recording the fault that stopped it (nil for HALT).
 func (c *Core) halt(fault error) Need {

@@ -1,24 +1,25 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
-	"unsafe"
 
 	"efl/internal/isa"
 )
 
-// noFetch marks a trace entry whose instruction was dispatched without an
-// IL1 access: the interpreter's out-of-range-PC fault path skips the fetch
-// and lets StepInto raise the precise fault.
+// noFetch marks an instruction dispatched without an IL1 access: the
+// interpreter's out-of-range-PC fault path skips the fetch and lets
+// StepInto raise the precise fault.
 const noFetch = math.MaxUint64
 
-// TraceEntry is one retired (or faulting) instruction of a recorded
-// architectural trace: exactly the fields Step consults when timing an
-// instruction, with the interpreter's work (decode, register file, data
-// memory) already performed. Addresses are architectural — the per-core
-// addrBase is applied at replay time, so one trace serves every core.
+// TraceEntry is one retired (or faulting) instruction as the recorder
+// sees it: exactly the fields Step consults when timing an instruction,
+// with the interpreter's work (decode, register file, data memory)
+// already performed. Addresses are architectural — the per-core addrBase
+// is applied at replay time, so one trace serves every core. The recorder
+// packs each entry into the trace as it is produced; none is kept.
 type TraceEntry struct {
 	FetchAddr uint64 // architectural fetch address, noFetch if fetch skipped
 	MemAddr   uint64 // architectural data address (IsMem only)
@@ -28,266 +29,409 @@ type TraceEntry struct {
 	MemWrite  bool   // store vs load (IsMem only)
 	Halted    bool   // the HALT instruction (1 cycle, retires)
 	Fault     bool   // interpreter fault (no cycle, does not retire)
-
-	// Same-line elision flags, computed by compile for a specific line
-	// shift. skipFetch: the fetch lands on the same line as the previous
-	// entry's fetch, so it is a guaranteed IL1 hit (the previous fetch
-	// either hit the line or filled it, and only the IL1's own fills evict
-	// IL1 lines). skipData: a data access to the same line as the previous
-	// data access — a guaranteed DL1 memo hit under a write-back DL1,
-	// where every access leaves its line resident and memoed.
-	skipFetch bool
-	skipData  bool
 }
 
-// traceSeg is a maximal run (length >= 2) of consecutive entries whose
-// every side effect is statically known: each fetch is a same-line IL1 hit
-// and each data access a same-line DL1 hit. Replay applies a whole segment
-// as one clock/counter bump plus bulk statistics updates — exactly what
-// entry-by-entry replay would do, since same-line hits are memo-answered
-// and (under EoM) touch nothing but statistics and the memo line's dirty
-// bit. The chained same-line condition means all covered data accesses
-// land on one line — the DL1's current memo line — so the covered stores
-// collapse to a single MemoWriteHits call.
-type traceSeg struct {
-	end   int32  // first entry index past the segment
-	lat   int64  // summed execute latencies
-	steps uint64 // retired instructions (== elided IL1 accesses)
-	taken uint64 // taken branches (BranchPenalty applied at replay time)
-	dl1r  uint64 // elided DL1 loads
-	dl1w  uint64 // elided DL1 stores (same memo line, see MemoWriteHits)
-}
+// Packed layout. A trace is packed for an L1 line size, with same-line
+// elision, or exact, without it. A record is a tag byte in the tag stream
+// plus the fields the tag calls for in the argument stream; with the tags
+// apart the decoder walks them at a fixed stride. A plain record is one
+// instruction: its tag, then a 4-byte fetch address (tagJump), a 1-byte
+// latency (tagLat; 1 otherwise) and a data address (see appendData).
+//
+// A fetch flagged tagSkipFetch is on the previous fetch's line; any other
+// is on a new line, the next one's first byte unless tagJump gives it
+// (an exact trace counts 4-byte lines, one per instruction). A load or
+// store flagged tagSkipData is on the previous data access's line and
+// carries no address. Both flags mark a guaranteed L1 hit — the previous
+// access to the line hit or filled it, and only the cache's own fills
+// evict its lines — which, under stateless read hits, the line memo
+// answers, so replay counts it instead of performing it.
+//
+// A tag with tagSpecial set is a segment — a run of instructions that
+// each fetch and access data only on the previous line, without halting
+// or faulting — or an end marker. tagSpecial|k (k <= maxRun) is k
+// one-cycle instructions without branches or data accesses;
+// tagSegment+k-1 (k <= maxSegment) is k of any kind, with the loads,
+// stores and taken branches packed 3:3:2 bits in one byte and the latency
+// beyond a cycle each in another. tagHaltNext and tagFaultNext precede
+// the final record, the HALT or an instruction faulting after its fetch;
+// tagFaultNoFetch is a final instruction faulting without one.
+const (
+	tagMem       = 1 << 0
+	tagWrite     = 1 << 1
+	tagTaken     = 1 << 2
+	tagJump      = 1 << 3
+	tagSkipFetch = 1 << 4
+	tagSkipData  = 1 << 5
+	tagLat       = 1 << 6
+	tagSpecial   = 1 << 7
 
-// Trace is the architectural instruction stream of one program. The
-// stream is seed-independent — the ISA has no timing-visible inputs — so
-// a single recording can be replayed by every run of a campaign,
-// eliminating the interpreter from the simulation hot path.
+	maxRun          = 0x3f
+	tagHaltNext     = 0xc0
+	tagFaultNext    = 0xc1
+	tagFaultNoFetch = 0xc2
+	tagSegment      = 0xc3
+	maxSegment      = 0xff - tagSegment + 1
+
+	// Decoded-record flags above the tag byte (Core.rtag).
+	recHalt    = 1 << 8
+	recFault   = 1 << 9
+	recNoFetch = 1 << 10
+
+	exactShift = 2              // the fetch-line shift of an exact trace
+	noData     = math.MaxUint64 // the first data base: on no line, so never elided
+)
+
+// Trace is the architectural instruction stream of one program, packed
+// as above. The stream is seed-independent — the ISA has no
+// timing-visible inputs — so one recording serves every run of every
+// core that runs the program, removing the interpreter from the hot path.
 type Trace struct {
-	prog    *isa.Program
-	entries []TraceEntry
-	err     error // the fault the final entry raises, if any
-
-	// Compiled elision structure (see compile): valid for one line shift at
-	// a time, recompiled if a core with a different L1 geometry attaches.
-	compiled bool
-	shift    uint
-	segAt    []int32 // segment index starting at entry i, -1 otherwise
-	segs     []traceSeg
+	prog      *isa.Program
+	lineBytes int  // the line size the trace elides for; 0: exact
+	shift     uint // log2 of the fetch-line size
+	tags      []byte
+	args      []byte
+	n         int   // recorded instructions
+	err       error // the fault the final entry raises, if any
 }
 
 // Len returns the number of recorded instructions.
-func (t *Trace) Len() int { return len(t.entries) }
+func (t *Trace) Len() int { return t.n }
 
-// Bytes returns the heap bytes the trace holds once compiled: its entries
-// plus compile's per-entry segment index. The segment records themselves
-// (at most one per two entries) are not counted. A nil trace holds none.
+// Bytes returns the heap bytes of the packed streams; a nil trace has none.
 func (t *Trace) Bytes() int64 {
 	if t == nil {
 		return 0
 	}
-	return int64(len(t.entries)) * int64(unsafe.Sizeof(TraceEntry{})+unsafe.Sizeof(int32(0)))
+	return int64(len(t.tags) + len(t.args))
 }
 
-// replayElidable reports whether the entry can be absorbed into a bulk
-// segment: it retires normally and every cache access it performs is a
-// statically-guaranteed same-line read hit.
-func (e *TraceEntry) replayElidable() bool {
-	return e.skipFetch && !e.Halted && !e.Fault && (!e.IsMem || e.skipData)
-}
-
-// compile derives the same-line elision flags and bulk segments for the
-// given line shift (log2 of the L1 line size). Line addresses compare the
-// architectural addresses directly: the per-core addrBase lives in the
-// high bits, so basing preserves same-line equality. Idempotent per shift.
-func (t *Trace) compile(shift uint) {
-	if t.compiled && t.shift == shift {
-		return
-	}
-	t.compiled, t.shift = true, shift
-	n := len(t.entries)
-	if cap(t.segAt) >= n {
-		t.segAt = t.segAt[:n]
-	} else {
-		t.segAt = make([]int32, n)
-	}
-	t.segs = t.segs[:0]
-	var prevFetch, prevMem uint64
-	haveFetch, haveMem := false, false
-	for i := range t.entries {
-		e := &t.entries[i]
-		e.skipFetch, e.skipData = false, false
-		if e.FetchAddr != noFetch {
-			line := e.FetchAddr >> shift
-			e.skipFetch = haveFetch && line == prevFetch
-			prevFetch, haveFetch = line, true
-		}
-		if e.IsMem {
-			line := e.MemAddr >> shift
-			e.skipData = haveMem && line == prevMem
-			prevMem, haveMem = line, true
-		}
-	}
-	for i := range t.segAt {
-		t.segAt[i] = -1
-	}
-	for i := 0; i < n; {
-		if !t.entries[i].replayElidable() {
-			i++
-			continue
-		}
-		var s traceSeg
-		j := i
-		for j < n && t.entries[j].replayElidable() {
-			e := &t.entries[j]
-			s.lat += e.Latency
-			s.steps++
-			if e.Taken {
-				s.taken++
-			}
-			if e.IsMem {
-				if e.MemWrite {
-					s.dl1w++
-				} else {
-					s.dl1r++
-				}
-			}
-			j++
-		}
-		if j-i >= 2 { // single elidable entries stay on the per-entry path
-			s.end = int32(j)
-			t.segAt[i] = int32(len(t.segs))
-			t.segs = append(t.segs, s)
-		}
-		i = j
-	}
-}
-
-// RecordTrace executes prog on a bare interpreter (no caches, no timing)
-// and records its architectural trace. It errors when the program does not
-// terminate within maxInstr retired instructions; callers fall back to the
-// interpreter path in that case.
+// RecordTrace records prog's trace for the paper's 16-byte L1 lines (see
+// RecordTraceFor).
 func RecordTrace(prog *isa.Program, maxInstr uint64) (*Trace, error) {
+	return RecordTraceFor(prog, maxInstr, 16)
+}
+
+// RecordTraceFor executes prog on a bare interpreter (no caches, no
+// timing), packing its architectural trace as it goes: elided for L1
+// lines of lineBytes bytes, or exact for 0 (Core.ReplayLineBytes says
+// which a core replays). It errors when lineBytes is neither 0 nor a
+// power of two of at least isa.InstrBytes, when the code outgrows 4-byte
+// addresses, or when the program does not terminate within maxInstr
+// retired instructions; callers then interpret.
+func RecordTraceFor(prog *isa.Program, maxInstr uint64, lineBytes int) (*Trace, error) {
+	if len(prog.Code) > math.MaxUint32/isa.InstrBytes {
+		return nil, fmt.Errorf("cpu: %d instructions overflow a trace's 4-byte fetch addresses", len(prog.Code))
+	}
+	shift := uint(exactShift)
+	if lineBytes != 0 {
+		if lineBytes < isa.InstrBytes || lineBytes&(lineBytes-1) != 0 {
+			return nil, fmt.Errorf("cpu: trace line size %d is not a power of two of at least %d bytes", lineBytes, isa.InstrBytes)
+		}
+		shift = uint(bits.TrailingZeros(uint(lineBytes)))
+	}
 	m, err := isa.NewMachine(prog)
 	if err != nil {
 		return nil, err
 	}
-	t := &Trace{prog: prog}
+	t := &Trace{prog: prog, lineBytes: lineBytes, shift: shift}
+	p := packer{
+		elide: lineBytes != 0, shift: shift,
+		fline: isa.CodeBase>>shift - 1, data: [2]uint64{noData, isa.DataBase},
+		tags: make([]byte, 0, 4096), args: make([]byte, 0, 4096),
+	}
 	var si isa.StepInfo
 	for !m.Halted() {
-		pc := m.PC
-		fetchAddr := uint64(noFetch)
-		if pc >= 0 && pc < len(prog.Code) {
-			fetchAddr = isa.InstrAddr(pc)
+		e := TraceEntry{FetchAddr: noFetch, MemAddr: noFetch}
+		if pc := m.PC; pc >= 0 && pc < len(prog.Code) {
+			e.FetchAddr = isa.InstrAddr(pc)
 		}
 		if err := m.StepInto(&si); err != nil {
-			t.entries = append(t.entries, TraceEntry{FetchAddr: fetchAddr, MemAddr: noFetch, Fault: true})
+			e.Fault = true
 			t.err = err
-			return t, nil
-		}
-		e := TraceEntry{FetchAddr: fetchAddr, MemAddr: noFetch}
-		if si.Halted {
+		} else if si.Halted {
 			e.Halted = true
-			t.entries = append(t.entries, e)
-			return t, nil
+		} else {
+			if m.Steps > maxInstr {
+				return nil, fmt.Errorf("cpu: trace recording exceeded %d instructions", maxInstr)
+			}
+			e.Latency, e.Taken = si.Op.Latency(), si.Taken
+			if si.Op.IsMem() {
+				e.IsMem, e.MemAddr, e.MemWrite = true, si.MemAddr, si.MemWrite
+			}
 		}
-		e.Latency = si.Op.Latency()
-		e.Taken = si.Taken
-		if si.Op.IsMem() {
-			e.IsMem = true
-			e.MemAddr = si.MemAddr
-			e.MemWrite = si.MemWrite
-		}
-		t.entries = append(t.entries, e)
-		if m.Steps > maxInstr {
-			return nil, fmt.Errorf("cpu: trace recording exceeded %d instructions", maxInstr)
-		}
+		p.add(e)
 	}
+	p.flush()
+	// Copy out without the append slack: a pool keeps traces for a campaign.
+	t.tags = append(make([]byte, 0, len(p.tags)), p.tags...)
+	t.args = append(make([]byte, 0, len(p.args)), p.args...)
+	t.n = p.n
 	return t, nil
 }
 
-// SetReplay attaches (or, with nil, detaches) a recorded trace. While a
-// trace is attached, it replaces the interpreter as Step's instruction
-// source: each entry feeds the same fetch, retire and data-access code an
-// interpreted instruction does, so the sequence of IL1/DL1 accesses,
-// pending requests, stats and clock advances is identical, but the per-
-// instruction cost drops to an array walk. The trace's same-line elision
-// and bulk segments apply only to replay. Reset keeps the attachment and
-// rewinds the cursor. Panics if the trace was recorded from a different
-// program than the core runs.
-func (c *Core) SetReplay(t *Trace) {
-	if t != nil && t.prog != c.M.Prog {
-		panic("cpu: replay trace recorded from a different program")
-	}
-	c.replay = t
-	c.replayIdx = 0
-	c.replaySkipFetch = false
-	c.replaySkipData = false
-	c.replaySegs = false
-	if t == nil {
+// packer packs TraceEntry records, holding back the current segment.
+type packer struct {
+	tags, args []byte
+	n          int // entries packed
+	elide      bool
+	shift      uint
+	fline      uint64    // the previous fetch's line
+	data       [2]uint64 // the data-address bases (see appendData)
+	seg        struct{ k, extra, taken, reads, writes uint64 }
+	segTag     byte // the tag of the segment's last instruction (see flush)
+}
+
+// add packs e.
+func (p *packer) add(e TraceEntry) {
+	p.n++
+	if e.FetchAddr == noFetch {
+		p.flush()
+		p.tags = append(p.tags, tagFaultNoFetch)
 		return
 	}
-	// Same-line elision needs stateless read hits (TR/EoM — under TD every
-	// hit reorders LRU recency, so accesses may not be skipped). Data-side
-	// elision additionally needs a write-back DL1 (a write-through
-	// no-allocate store can leave its line unallocated, breaking the
-	// same-line => resident proof) and the IL1's line geometry, since one
-	// compiled flag set serves both caches. Attach replay only after the
-	// core's WriteThrough mode is configured.
-	il1Cfg, dl1Cfg := c.IL1.Config(), c.DL1.Config()
-	c.replaySkipFetch = c.IL1.StatelessReadHits()
-	c.replaySkipData = c.DL1.StatelessReadHits() && !c.WriteThrough &&
-		dl1Cfg.LineBytes == il1Cfg.LineBytes
-	c.replaySegs = c.replaySkipFetch && c.replaySkipData
-	if c.replaySkipFetch || c.replaySkipData {
-		t.compile(uint(bits.TrailingZeros64(uint64(il1Cfg.LineBytes))))
+	line, next := e.FetchAddr>>p.shift, (p.fline+1)<<p.shift
+	tag := bit(p.elide && line == p.fline, tagSkipFetch)
+	tag |= bit(tag == 0 && e.FetchAddr != next, tagJump)
+	p.fline = line
+	var prefix byte
+	switch {
+	case e.Halted:
+		prefix = tagHaltNext
+	case e.Fault:
+		prefix = tagFaultNext
+	default:
+		tag |= bit(e.Latency != 1, tagLat) | bit(e.Taken, tagTaken) |
+			bit(e.IsMem, tagMem) | bit(e.MemWrite, tagWrite) |
+			bit(e.IsMem && p.elide && e.MemAddr>>p.shift == p.data[0]>>p.shift, tagSkipData)
+		if tag&tagSkipFetch != 0 && tag&(tagMem|tagSkipData) != tagMem {
+			s := &p.seg
+			if s.k == maxSegment || s.reads == 7 || s.writes == 7 || s.taken == 3 ||
+				s.extra+uint64(e.Latency-1) > math.MaxUint8 {
+				p.flush() // the segment's fields are full
+			}
+			s.k++
+			s.extra += uint64(e.Latency - 1)
+			s.taken += uint64(bit(e.Taken, 1))
+			s.reads += uint64(bit(e.IsMem && !e.MemWrite, 1))
+			s.writes += uint64(bit(e.MemWrite, 1))
+			p.segTag = tag
+			return
+		}
+	}
+	if p.seg.k > 0 {
+		p.flush()
+	}
+	if prefix != 0 {
+		p.tags = append(p.tags, prefix)
+	}
+	p.tags = append(p.tags, tag)
+	if tag&tagJump != 0 {
+		p.args = binary.LittleEndian.AppendUint32(p.args, uint32(e.FetchAddr))
+	}
+	if tag&tagLat != 0 {
+		p.args = append(p.args, byte(e.Latency))
+	}
+	if tag&(tagMem|tagSkipData) == tagMem {
+		p.appendData(e.MemAddr)
 	}
 }
 
+// bit is b if v, else 0.
+func bit(v bool, b byte) byte {
+	if v {
+		return b
+	}
+	return 0
+}
+
+// flush emits the pending segment, if any: a lone instruction as its
+// plain record, one-cycle instructions without branches or data accesses
+// as runs, anything else as one segment record.
+func (p *packer) flush() {
+	s := p.seg
+	p.seg.k, p.seg.extra, p.seg.taken, p.seg.reads, p.seg.writes = 0, 0, 0, 0, 0
+	switch {
+	case s.k == 0:
+	case s.extra == 0 && s.taken == 0 && s.reads == 0 && s.writes == 0:
+		for ; s.k > 0; s.k -= min(s.k, maxRun) {
+			p.tags = append(p.tags, tagSpecial|byte(min(s.k, maxRun)))
+		}
+	case s.k == 1:
+		p.tags = append(p.tags, p.segTag)
+		if p.segTag&tagLat != 0 {
+			p.args = append(p.args, byte(s.extra+1))
+		}
+	default:
+		p.tags = append(p.tags, tagSegment+byte(s.k-1))
+		p.args = append(p.args, byte(s.reads|s.writes<<3|s.taken<<6), byte(s.extra))
+	}
+}
+
+// appendData appends data address a as a delta d from one of two bases:
+// the last address carried (sel 0) and the one before it from elsewhere
+// (sel 1), so code alternating between two arrays finds each one's last
+// access in a base. It takes two little-endian bytes, d<<1|sel, when
+// |d| < 1<<14, else the escape math.MinInt16 and a itself. Then a becomes
+// base 0 and base 1 the base not used (the old base 0 after an escape).
+func (p *packer) appendData(a uint64) {
+	fits := func(d int64) bool { return d > -1<<14 && d < 1<<14 }
+	d0, d1 := int64(a-p.data[0]), int64(a-p.data[1])
+	sel, d := int64(0), d0
+	if !fits(d0) || fits(d1) && max(d1, -d1) < max(d0, -d0) {
+		sel, d = 1, d1
+	}
+	if fits(d) {
+		p.args = binary.LittleEndian.AppendUint16(p.args, uint16(d<<1|sel))
+	} else {
+		p.args = binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint16(p.args, 1<<15), a)
+		sel = 1
+	}
+	if sel == 1 {
+		p.data[1] = p.data[0]
+	}
+	p.data[0] = a
+}
+
+// dataAddr decodes the data address at the argument cursor (see
+// appendData).
+func (c *Core) dataAddr() uint64 {
+	i := c.apos
+	v := int16(uint16(c.rargs[i]) | uint16(c.rargs[i+1])<<8)
+	c.apos = i + 2
+	if v == math.MinInt16 {
+		a := binary.LittleEndian.Uint64(c.rargs[c.apos:])
+		c.apos += 8
+		c.rdata, c.rdata1 = a, c.rdata
+		return a
+	}
+	base, other := c.rdata, c.rdata1
+	if v&1 != 0 {
+		base, other = other, base
+	}
+	a := base + uint64(v>>1)
+	c.rdata, c.rdata1 = a, other
+	return a
+}
+
+// replayRun retires a run of n one-cycle instructions fetching on the
+// IL1's memo line.
+func (c *Core) replayRun(n uint64) {
+	c.Clock += int64(n)
+	c.execCycles += int64(n)
+	c.retired += n
+	c.IL1.BulkMemoHits(n)
+}
+
+// replaySpecial decodes the special record, other than a run, whose tag b
+// was just read: it applies a segment whole and reports it, or flags the
+// final record in c.rtag. A segment's accesses are all same-line hits, so
+// it is one clock bump and bulk statistics updates — what replaying it
+// instruction by instruction would do; its data accesses all land on the
+// DL1's memo line, so its stores are one MemoWriteHits call.
+func (c *Core) replaySpecial(b byte) (applied bool) {
+	switch {
+	case b >= tagSegment:
+	case b == tagFaultNoFetch:
+		c.rtag = recFault | recNoFetch
+		return false
+	default:
+		flag := uint16(recHalt)
+		if b == tagFaultNext {
+			flag = recFault
+		}
+		c.rtag = uint16(c.rtags[c.rpos]) | flag
+		c.rpos++
+		return false
+	}
+	a := c.rargs[c.apos : c.apos+2]
+	c.apos += 2
+	reads, writes, taken := uint64(a[0]&7), uint64(a[0]>>3&7), uint64(a[0]>>6)
+	c.replayRun(uint64(b-tagSegment) + 1)
+	adv := int64(a[1]) + int64(taken)*c.BranchPenalty
+	c.Clock += adv
+	c.execCycles += adv
+	c.stats.TakenBranches += taken
+	if reads > 0 {
+		c.DL1.BulkMemoHits(reads)
+	}
+	if writes > 0 {
+		c.DL1.MemoWriteHits(writes)
+	}
+	return true
+}
+
+// rewindReplay moves the replay cursors to the start of the trace.
+func (c *Core) rewindReplay() {
+	c.rpos, c.apos = 0, 0
+	c.fline = isa.CodeBase>>c.rshift - 1
+	c.rdata, c.rdata1 = noData, isa.DataBase
+}
+
+// ReplayLineBytes returns the line size of the elided traces the core
+// replays — the smaller of its L1 lines — or 0 when it replays only exact
+// ones. Elision needs stateless read hits (TR/EoM; under TD every hit
+// reorders LRU recency) and a write-back DL1: a write-through
+// no-allocate store can leave its line unallocated.
+func (c *Core) ReplayLineBytes() int {
+	if !c.IL1.StatelessReadHits() || !c.DL1.StatelessReadHits() || c.WriteThrough {
+		return 0
+	}
+	return min(c.IL1.Config().LineBytes, c.DL1.Config().LineBytes)
+}
+
+// SetReplay attaches (or, with nil, detaches) a recorded trace, which
+// then replaces the interpreter as Step's instruction source: each record
+// feeds the same fetch, retire and data-access code an interpreted
+// instruction does, so accesses, pending requests, stats and clock
+// advances are identical, at the cost of decoding a few bytes. Reset
+// keeps the attachment and rewinds the cursors. Attach after setting
+// WriteThrough. Panics if the trace's program image differs from the
+// core's, or the trace elides for lines the core cannot elide for
+// (same-line at the trace's line size implies same-line at any coarser).
+func (c *Core) SetReplay(t *Trace) {
+	if t != nil && !t.prog.SameImage(c.M.Prog) {
+		panic("cpu: replay trace recorded from a different program")
+	}
+	if t != nil && t.lineBytes != 0 && (c.ReplayLineBytes() == 0 || c.ReplayLineBytes() < t.lineBytes) {
+		panic(fmt.Sprintf("cpu: trace elides for %d-byte lines, core %d for %d", t.lineBytes, c.ID, c.ReplayLineBytes()))
+	}
+	c.replay, c.rtags, c.rargs = t, nil, nil
+	if t != nil {
+		c.rtags, c.rargs, c.rshift = t.tags, t.args, t.shift
+		c.rewindReplay()
+	}
+}
+
+// Replaying reports whether a trace is attached.
+func (c *Core) Replaying() bool { return c.replay != nil }
+
 // EnableReplayBurst lets the replaying core retire any number of hitting
 // instructions inside one Step call instead of yielding NeedNone per
-// instruction. Correctness: between first-level misses the core mutates
-// only its own L1s and clock (hitting work draws no randomness and touches
-// no shared resource), so the simulator observes the same event sequence
-// regardless of how many retires one Step covers. Two bounds keep the
-// simulator's run-abort checks exact: the burst yields at the first retire
-// past maxInstr (where the instruction-ceiling check fires) and at the
-// first retire whose clock exceeds the yield clock (where the cycle-limit
-// check fires — see SetReplayYieldClock). An interpreting core never
-// bursts: on a coherent platform its hitting stores call Coh.Touch, which
-// is shared state.
+// instruction. Between first-level misses the core mutates only its own
+// L1s and clock (hitting work draws no randomness and touches no shared
+// resource), so the simulator sees the same events however many retires
+// one Step covers, provided it places a stalling step by that step's own
+// start clock (StepStart). The burst yields at the first retire past
+// maxInstr (the instruction-ceiling check) and past the yield clock (the
+// cycle-limit check; see SetReplayYieldClock). A segment retires its
+// instructions together, so a trace longer than maxInstr can overshoot
+// the first bound; simulators attach only traces that fit it. An
+// interpreting core never bursts: on a coherent platform its hitting
+// stores call Coh.Touch, which is shared state.
 func (c *Core) EnableReplayBurst(maxInstr uint64) {
 	c.replayBurstCap = maxInstr
 	c.replayYieldClock = math.MaxInt64
 }
 
-// SetReplayYieldClock bounds burst replay in time: a burst yields control
-// at the first retire whose clock exceeds t. Simulators set it to the
-// run's effective cycle limit so a burst cannot run past a watchdog budget
-// the per-instruction path would have tripped.
+// SetReplayYieldClock bounds burst replay in time: a burst yields at the
+// first retire whose clock exceeds t, the run's effective cycle limit, so
+// it cannot run past a budget the per-instruction path would have tripped.
 func (c *Core) SetReplayYieldClock(t int64) { c.replayYieldClock = t }
 
-// replaySegment applies bulk segment sg at the replay cursor: every
-// covered access is a same-line hit, so the segment collapses to one clock
-// bump and bulk statistics updates — byte-identical to the entry-by-entry
-// replay it replaces.
-func (c *Core) replaySegment(sg *traceSeg) {
-	adv := sg.lat + int64(sg.taken)*c.BranchPenalty
-	c.Clock += adv
-	c.execCycles += adv
-	c.retired += sg.steps
-	c.stats.TakenBranches += sg.taken
-	c.IL1.BulkMemoHits(sg.steps)
-	if sg.dl1r > 0 {
-		c.DL1.BulkMemoHits(sg.dl1r)
-	}
-	if sg.dl1w > 0 {
-		c.DL1.MemoWriteHits(sg.dl1w)
-	}
-	c.replayIdx = int(sg.end)
-}
-
 // bursting reports whether a replaying core in burst mode keeps retiring
-// inside the current Step call. An interpreting core never bursts.
+// inside the current Step call.
 func (c *Core) bursting() bool {
 	return c.replay != nil && c.replayBurstCap > 0 &&
 		c.retired <= c.replayBurstCap && c.Clock <= c.replayYieldClock

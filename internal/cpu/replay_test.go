@@ -39,9 +39,9 @@ func fingerprint(t *testing.T, c *Core) coreFP {
 
 // replayVariant is one core configuration the replay path must match the
 // interpreter on. Each variant switches off (or on) a different replay-only
-// shortcut: TD L1s have stateful read hits (no same-line elision), a
-// write-through DL1 or a DL1 line size other than the IL1's disables the
-// data-side elision, and burst mode retires many instructions per Step.
+// shortcut: TD L1s (stateful read hits) and a write-through DL1 replay an
+// exact trace, a DL1 line larger than the IL1's elides at the IL1's line
+// size, and burst mode retires many instructions per Step.
 type replayVariant struct {
 	name         string
 	il1, dl1     cache.Config
@@ -80,20 +80,25 @@ func newVariantCore(t *testing.T, prog *isa.Program, seed uint64, v replayVarian
 // TestReplayMatchesInterpreter pins the replay path to the interpreter
 // path: same program, same cache seeds => identical clocks, pipeline and
 // cache statistics and retirement counts, for every bench kernel under
-// every replay variant.
+// every replay variant, each replaying the trace packed for it.
 func TestReplayMatchesInterpreter(t *testing.T) {
 	variants := replayVariants()
 	for _, spec := range bench.AllWithExtended() {
 		prog := spec.Build()
-		tr, err := RecordTrace(prog, 1<<22)
-		if err != nil {
-			t.Fatal(err)
-		}
+		traces := map[int]*Trace{}
 		t.Run(spec.Code, func(t *testing.T) {
 			for _, v := range variants {
 				want := fingerprint(t, newVariantCore(t, prog, 42, v))
 				got := newVariantCore(t, prog, 42, v)
-				got.SetReplay(tr)
+				line := got.ReplayLineBytes()
+				if traces[line] == nil {
+					tr, err := RecordTraceFor(prog, 1<<22, line)
+					if err != nil {
+						t.Fatal(err)
+					}
+					traces[line] = tr
+				}
+				got.SetReplay(traces[line])
 				if v.burst {
 					got.EnableReplayBurst(1 << 22)
 				}
@@ -109,6 +114,27 @@ func TestReplayMatchesInterpreter(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTraceBytes pins the packed traces' size: every kernel's trace for
+// 16-byte lines takes at most an eighth of the 36 bytes per instruction
+// the unpacked entries and their segment index took, and the sixteen
+// kernels' traces total at most 4 MiB.
+func TestTraceBytes(t *testing.T) {
+	var total int64
+	for _, spec := range bench.AllWithExtended() {
+		tr, err := RecordTrace(spec.Build(), 1<<22)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := int64(tr.Len()) * 36 / 8; tr.Bytes() > limit {
+			t.Errorf("%s: %d bytes for %d instructions, limit %d", spec.Code, tr.Bytes(), tr.Len(), limit)
+		}
+		total += tr.Bytes()
+	}
+	if total > 4<<20 {
+		t.Errorf("the kernels' traces take %d bytes, limit %d", total, 4<<20)
 	}
 }
 

@@ -16,8 +16,10 @@
 package isa
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 // Address-space layout constants.
@@ -192,6 +194,12 @@ func (p *Program) SegmentSize() int {
 	return len(p.Data)
 }
 
+// SameImage reports whether p and o execute identically: the same code,
+// initial data and data-segment size. Names are ignored.
+func (p *Program) SameImage(o *Program) bool {
+	return p == o || p.DataSize == o.DataSize && slices.Equal(p.Code, o.Code) && bytes.Equal(p.Data, o.Data)
+}
+
 // InstrAddr returns the byte address of instruction index idx.
 func InstrAddr(idx int) uint64 { return CodeBase + uint64(idx)*InstrBytes }
 
@@ -233,23 +241,39 @@ type Machine struct {
 
 // NewMachine allocates the machine state for prog. The program is validated.
 func NewMachine(prog *Program) (*Machine, error) {
-	if err := prog.Validate(); err != nil {
+	m := &Machine{}
+	if err := m.Load(prog); err != nil {
 		return nil, err
 	}
-	m := &Machine{Prog: prog, Data: make([]byte, prog.SegmentSize())}
-	copy(m.Data, prog.Data)
+	m.Reset()
 	return m, nil
 }
 
-// Reset rewinds the machine to its initial state (fresh registers, PC and
-// data segment) for a new run.
+// Load re-targets the machine to prog, which is validated, leaving the
+// machine state to the next Reset: until then the machine must not run.
+// On error the machine is unchanged. A machine that swaps programs this
+// way allocates only when a program's data segment outgrows its buffer.
+func (m *Machine) Load(prog *Program) error {
+	if err := prog.Validate(); err != nil {
+		return err
+	}
+	m.Prog = prog
+	return nil
+}
+
+// Reset rewinds the machine to its program's initial state (fresh
+// registers, PC and data segment) for a new run, reusing the data
+// segment's buffer when the segment fits in it.
 func (m *Machine) Reset() {
 	m.Regs = [NumRegs]int64{}
 	m.PC = 0
 	m.Steps = 0
 	m.halted = false
-	for i := range m.Data {
-		m.Data[i] = 0
+	if n := m.Prog.SegmentSize(); cap(m.Data) < n {
+		m.Data = make([]byte, n)
+	} else {
+		m.Data = m.Data[:n]
+		clear(m.Data)
 	}
 	copy(m.Data, m.Prog.Data)
 }

@@ -2,23 +2,28 @@ package sim
 
 import "efl/internal/cpu"
 
-// This file holds the analysis-mode shortcuts. An MBPTA campaign runs
-// hundreds of independent analysis-mode simulations of the same (config,
-// program) pair on one pooled platform, so two per-run costs are cut:
+// This file holds the shortcuts pooled runs take. A campaign runs
+// hundreds of simulations of the same programs on one pooled platform —
+// an MBPTA campaign hundreds of analysis-mode runs of one (config,
+// program) pair, a deployment campaign many seeded runs of a few program
+// mixes — so two per-run costs are cut:
 //
-//   - replay: the architectural instruction stream is decoded ONCE per
-//     program (cpu.RecordTrace, pooled by Pool.traceFor) and replayed by
-//     every run, removing the interpreter from the hot path;
+//   - replay: each program's architectural instruction stream is decoded
+//     ONCE (cpu.RecordTraceFor, pooled by content in Pool.traceFor) and
+//     replayed by every run of every core that runs it, removing the
+//     interpreter from the hot path. Pool.Get attaches the traces to
+//     every active core of every non-coherent platform; an analysis
+//     platform is the case with one active core;
 //   - rewind: the platform is rewound in place per run (Rewind, the last
 //     step of the New → Reuse → Rewind lifecycle in sim.go), so the
 //     steady state allocates nothing.
 //
 // The runs themselves go through the one event loop, generalAdvance.
 // Both shortcuts are bit-identical to a fresh interpreted run — pinned by
-// the all-kernel golden test, the stream-vs-fresh property tests and the
-// analysis rows of the loop differential test. The campaign loops that
-// drive these runs (Pool.CollectAnalysisTimes, Pool.StreamAnalysisTimes)
-// live in pool.go.
+// the all-kernel golden test, the pooled-vs-fresh property tests and the
+// loop differential test, whose RunInto side replays every core. The
+// campaign loops that drive analysis runs (Pool.CollectAnalysisTimes,
+// Pool.StreamAnalysisTimes) live in pool.go.
 
 // effectiveLimit is the run's cycle ceiling: the configured maximum,
 // tightened by the runner watchdog budget when one is armed.
@@ -30,24 +35,22 @@ func (m *Multicore) effectiveLimit() int64 {
 	return limit
 }
 
-// setReplay attaches tr to the analysed core (nil detaches), so the
-// core's Step takes its instructions from the recorded trace instead of
-// the interpreter; the timing code is the same either way. Replay runs in
-// burst mode: the core retires whole stretches of hitting instructions per
-// Step call, yielding only at shared-memory stalls and at the run-abort
-// bounds (instruction ceiling, cycle limit — the latter set per run by
-// setReplayYield).
-func (m *Multicore) setReplay(tr *cpu.Trace) {
-	if m.coh != nil {
-		// Replay's same-line elision skips the access, and with it the
-		// per-access coherence Touch; coherent platforms always interpret.
-		return
+// setReplay attaches tr to ctl's core (nil detaches), so the core's Step
+// takes its instructions from the recorded trace instead of the
+// interpreter; the timing code is the same either way. Replay runs in
+// burst mode: the core retires whole stretches of hitting instructions
+// per Step call, yielding only at shared-memory stalls and at the
+// run-abort bounds (instruction ceiling, cycle limit — the latter set per
+// run by setReplayYield). A trace longer than the instruction ceiling is
+// not attached: a segment retires several instructions at once, so the
+// ceiling check could fire late.
+func (m *Multicore) setReplay(ctl *coreCtl, tr *cpu.Trace) {
+	if tr != nil && uint64(tr.Len()) > m.cfg.MaxInstrPerCore+1 {
+		tr = nil
 	}
-	if ctl := m.cores[m.cfg.AnalysedCore]; ctl.core != nil {
-		ctl.core.SetReplay(tr)
-		if tr != nil {
-			ctl.core.EnableReplayBurst(m.cfg.MaxInstrPerCore)
-		}
+	ctl.core.SetReplay(tr)
+	if tr != nil {
+		ctl.core.EnableReplayBurst(m.cfg.MaxInstrPerCore)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestBatchK1GoldenAllKernels(t *testing.T) {
 			pool := checkStream(t, cfg, prog, []uint64{1, 2}, func(seed uint64) *Result {
 				return freshAnalysis(t, cfg, prog, seed)
 			})
-			if tr, ok := pool.traces.Get(prog); !ok || tr == nil {
+			if tr, ok := pool.pooledTrace(prog, cfg.LineBytes); !ok || tr == nil {
 				t.Fatalf("kernel %s did not record a replay trace", spec.Code)
 			}
 		})

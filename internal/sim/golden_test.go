@@ -180,7 +180,8 @@ func TestL1StatsPerRun(t *testing.T) {
 // nothing per run — in EFL and CP 2/2/2/2 deployment, in analysis mode
 // (the analysis_run row of BENCH_SIM.json), on the 3-level hierarchy
 // (multilevel_run) and on an MSI-coherent deployment of the SC and FS
-// kernels, whose directory keeps its entries across runs.
+// kernels, whose directory keeps its entries across runs — and, through
+// Pool.Get, across switches between replayed program sets.
 func TestRunIntoZeroAlloc(t *testing.T) {
 	prog := goldenProg()
 	quad := []*isa.Program{prog, prog, prog, prog}
@@ -221,6 +222,34 @@ func TestRunIntoZeroAlloc(t *testing.T) {
 			}
 		})
 	}
+	// Pool.Get switching between two program sets of separately built
+	// programs re-targets the pooled platform's cores in place and finds
+	// their traces pooled by image: once both sets have run, a switch and
+	// a replayed run allocate nothing.
+	t.Run("pool get", func(t *testing.T) {
+		a := func() *isa.Program { return loopProg("a", 256, 3) }
+		b := func() *isa.Program { return loopProg("b", 1024, 1) }
+		sets := [][]*isa.Program{{a(), b(), computeProg(400), a()}, {b(), a(), b(), computeProg(400)}}
+		cfg := DefaultConfig().WithEFL(500)
+		pool := NewPool()
+		var res Result
+		run := func(i int) {
+			m, err := pool.Get(cfg, sets[i%len(sets)], uint64(i))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RunInto(&res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := range sets {
+			run(i)
+		}
+		i := 0
+		if allocs := testing.AllocsPerRun(4, func() { run(i); i++ }); allocs != 0 {
+			t.Fatalf("Pool.Get + RunInto allocates %.1f per run", allocs)
+		}
+	})
 }
 
 // The hierarchy goldens pin the layouts the two-level fingerprints above

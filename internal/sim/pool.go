@@ -2,15 +2,17 @@ package sim
 
 // This file holds the campaign side of the platform: Pool keeps one
 // platform per Config (built by New, swapped to new programs by Reuse),
-// one recorded replay trace per program and an optional auditor, and runs
-// analysis campaigns on them. Both campaign shapes — the fixed-count
-// CollectAnalysisTimes, seeded once, and the converged
-// StreamAnalysisTimes, rewound per run — drive the same audited run loop
-// (auditedRuns); only their seeding differs.
+// one recorded replay trace per program image and line size, and an
+// optional auditor, and runs analysis campaigns on them. Both campaign
+// shapes — the fixed-count CollectAnalysisTimes, seeded once, and the
+// converged StreamAnalysisTimes, rewound per run — drive the same audited
+// run loop (auditedRuns); only their seeding differs.
 
 import (
 	"context"
-	"fmt"
+	"encoding/binary"
+	"hash/maphash"
+	"strconv"
 
 	"efl/internal/cpu"
 	"efl/internal/isa"
@@ -24,13 +26,14 @@ import (
 // hold one Pool per worker.
 type Pool struct {
 	platforms map[string]*Multicore
-	// traces caches one recorded architectural trace per program (traces
-	// are seed-independent, so one recording serves every configuration
-	// and seed), least-recently-used first out past poolTraceEntries
-	// programs or poolTraceBytes of trace. A nil entry marks a program
-	// whose recording exceeded the instruction cap; those runs fall back
-	// to the interpreter.
-	traces *lru.Cache[*isa.Program, *cpu.Trace]
+	// key is Get's scratch buffer for the configuration key.
+	key []byte
+	// traces caches one recorded architectural trace per program image
+	// and L1 line size (traces are seed-independent, so one recording
+	// serves every core, configuration and seed with that line size),
+	// least-recently-used first out past poolTraceEntries traces or
+	// poolTraceBytes of packed stream.
+	traces *lru.Cache[traceKey, pooledTrace]
 	// aud, when set, checks every run executed through the pool's
 	// collection helpers. The Auditor itself is mutex-guarded, so one
 	// auditor is shared across all workers' pools.
@@ -39,34 +42,100 @@ type Pool struct {
 	quarantined int
 }
 
+// traceKey identifies a pooled trace by content: a hash of the program
+// image (imageSum) and the L1 line size it was packed for (0: exact).
+// Programs built separately from the same source share one trace; a hash
+// hit is verified against the image before use.
+type traceKey struct {
+	sum       uint64
+	lineBytes int
+}
+
+// pooledTrace is one cached recording: the program image it was
+// recorded from, the trace — nil when the recording exceeded its
+// instruction ceiling maxInstr, so runs interpret — and that ceiling.
+type pooledTrace struct {
+	prog     *isa.Program
+	tr       *cpu.Trace
+	maxInstr uint64
+}
+
 // NewPool returns an empty platform pool.
 func NewPool() *Pool {
 	return &Pool{
 		platforms: map[string]*Multicore{},
-		traces:    lru.New[*isa.Program, *cpu.Trace](poolTraceEntries, poolTraceBytes, (*cpu.Trace).Bytes),
+		traces: lru.New[traceKey, pooledTrace](poolTraceEntries, poolTraceBytes,
+			func(e pooledTrace) int64 { return e.tr.Bytes() }),
 	}
 }
 
-// A pool's replay-trace bounds. Kernel traces take 0.7–3.9 MiB each, so
-// the budget holds all sixteen kernels (~40 MiB) plus a few replayed
-// workloads; a program whose trace alone exceeds it is re-recorded per
-// campaign instead of cached.
+// A pool's replay-trace bounds. Packed kernel traces take 16–200 KiB at
+// 16-byte lines (1.4 MiB for all sixteen, against 36.7 MiB unpacked), so
+// the byte budget holds every kernel at several line sizes plus replayed
+// workloads, and binds before the entry cap does; a program whose trace
+// alone exceeds it is re-recorded per campaign instead of cached.
 const (
 	poolTraceEntries = 256
-	poolTraceBytes   = 64 << 20
+	poolTraceBytes   = 16 << 20
 )
 
-// traceFor returns the pooled architectural trace of prog, recording it on
-// first use. Programs that do not terminate within maxInstr get a nil
-// trace (interpreter fallback); the cap violation itself still surfaces
-// through the simulator's retired-instruction check either way.
-func (p *Pool) traceFor(prog *isa.Program, maxInstr uint64) *cpu.Trace {
-	tr, ok := p.traces.Get(prog)
-	if !ok {
-		tr, _ = cpu.RecordTrace(prog, maxInstr)
-		p.traces.Put(prog, tr)
+// imageSeed keys imageSum; a hash only picks a cache slot, so any
+// per-process seed serves.
+var imageSeed = maphash.MakeSeed()
+
+// imageSum hashes the parts of prog that determine its trace: code, data
+// image and data-segment size (not its name).
+func imageSum(prog *isa.Program) uint64 {
+	var h maphash.Hash
+	h.SetSeed(imageSeed)
+	var buf [512]byte
+	b := buf[:0]
+	for _, v := range [...]int{len(prog.Code), len(prog.Data), prog.DataSize} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	return tr
+	for _, in := range prog.Code {
+		if len(b) > len(buf)-20 {
+			h.Write(b)
+			b = buf[:0]
+		}
+		b = append(b, byte(in.Op), in.Rd, in.Rs, in.Rt)
+		b = binary.LittleEndian.AppendUint64(b, uint64(in.Imm))
+		b = binary.LittleEndian.AppendUint64(b, uint64(in.Target))
+	}
+	h.Write(b)
+	h.Write(prog.Data)
+	return h.Sum64()
+}
+
+// traceFor returns the pooled trace of prog packed for lineBytes-byte L1
+// lines (0: exact), recording it on first use. Programs that do not
+// terminate within maxInstr get a nil trace (interpreter fallback); the
+// cap violation itself still surfaces through the simulator's
+// retired-instruction check either way.
+func (p *Pool) traceFor(prog *isa.Program, lineBytes int, maxInstr uint64) *cpu.Trace {
+	key := traceKey{imageSum(prog), lineBytes}
+	e, ok := p.traces.Get(key)
+	if !ok || !e.prog.SameImage(prog) || e.tr == nil && e.maxInstr < maxInstr {
+		tr, _ := cpu.RecordTraceFor(prog, maxInstr, lineBytes)
+		e = pooledTrace{prog: prog, tr: tr, maxInstr: maxInstr}
+		p.traces.Put(key, e)
+	}
+	return e.tr
+}
+
+// replay attaches to each active core the pooled trace of its program,
+// packed for the line size the core can elide for (see setReplay).
+// Coherent platforms interpret: replay's same-line elision skips the
+// access, and with it the per-access coherence Touch.
+func (p *Pool) replay(m *Multicore) {
+	if m.coh != nil {
+		return
+	}
+	for _, ctl := range m.cores {
+		if c := ctl.core; c != nil {
+			m.setReplay(ctl, p.traceFor(c.M.Prog, c.ReplayLineBytes(), m.cfg.MaxInstrPerCore))
+		}
+	}
 }
 
 // SetAuditor attaches a soundness auditor to the pool; nil detaches it.
@@ -107,42 +176,59 @@ func (p *Pool) QuarantineAll() int {
 // Quarantined returns how many platforms this pool has quarantined.
 func (p *Pool) Quarantined() int { return p.quarantined }
 
-// configKey fingerprints a Config. Config is a flat value type (plus the
-// PartitionWays slice), so the %+v rendering is a faithful identity.
-func configKey(cfg Config) string { return fmt.Sprintf("%+v", cfg) }
+// appendConfigKey appends a fingerprint of cfg to b: every field of
+// Config and of its hierarchy levels, in declaration order, without
+// allocating (TestConfigKeyCoversEveryField pins that every field counts).
+func appendConfigKey(b []byte, c Config) []byte {
+	b = appendInts(b, int64(c.Cores), int64(c.L1SizeBytes), int64(c.L1Ways), int64(c.LLCSizeBytes),
+		int64(c.LLCWays), int64(c.LineBytes), int64(c.Policy), c.BusSlotCycles, c.LLCHitCycles,
+		c.MemCycles, c.MemSlotCycles, c.BranchPenalty, b2i(c.DL1WriteThrough), b2i(c.WTAllocate),
+		c.MID, b2i(c.EFLFixedMID), int64(c.Mode), int64(c.AnalysedCore), int64(c.MaxInstrPerCore),
+		c.MaxCycles, int64(c.SharedDataBytes), b2i(c.PartitionWays == nil), int64(len(c.PartitionWays)))
+	for _, w := range c.PartitionWays {
+		b = appendInts(b, int64(w))
+	}
+	b = appendInts(b, b2i(c.Hierarchy == nil), int64(len(c.Hierarchy)))
+	for _, l := range c.Hierarchy {
+		b = append(strconv.AppendQuote(b, l.Name), ' ')
+		b = appendInts(b, int64(l.SizeBytes), int64(l.Ways), b2i(l.Shared), l.LatencyCycles, int64(l.Policy))
+	}
+	return b
+}
+
+// configKey is appendConfigKey as a string.
+func configKey(cfg Config) string { return string(appendConfigKey(nil, cfg)) }
 
 // Get returns a platform for cfg running progs under seed, reusing a
-// pooled platform when one with the same Config exists.
+// pooled platform when one with the same Config exists, with the pooled
+// trace of its program attached to every active core of a non-coherent
+// platform. In steady state — a known Config, programs whose traces are
+// pooled — it allocates nothing.
 func (p *Pool) Get(cfg Config, progs []*isa.Program, seed uint64) (*Multicore, error) {
-	key := configKey(cfg)
-	if m, ok := p.platforms[key]; ok {
+	p.key = appendConfigKey(p.key[:0], cfg)
+	m, ok := p.platforms[string(p.key)]
+	if ok {
 		if err := m.Reuse(progs, seed); err != nil {
 			return nil, err
 		}
-		return m, nil
+	} else {
+		var err error
+		if m, err = New(cfg, progs, seed); err != nil {
+			return nil, err
+		}
+		p.platforms[string(p.key)] = m
 	}
-	m, err := New(cfg, progs, seed)
-	if err != nil {
-		return nil, err
-	}
-	p.platforms[key] = m
+	p.replay(m)
 	return m, nil
 }
 
 // analysisPlatform returns the pooled platform for prog on core 0 under
 // cfg (already forced to analysis mode), seeded with seed and replaying
-// the pooled trace of prog. Replay removes the interpreter from the run
-// loop while keeping every timing decision — and therefore the collected
-// times — bit-identical to the interpreted path.
+// the pooled trace of prog.
 func (p *Pool) analysisPlatform(cfg Config, prog *isa.Program, seed uint64) (*Multicore, error) {
 	progs := make([]*isa.Program, cfg.Cores)
 	progs[0] = prog
-	m, err := p.Get(cfg, progs, seed)
-	if err != nil {
-		return nil, err
-	}
-	m.setReplay(p.traceFor(prog, cfg.MaxInstrPerCore))
-	return m, nil
+	return p.Get(cfg, progs, seed)
 }
 
 // CollectAnalysisTimes performs runs analysis-mode executions of prog on
@@ -216,4 +302,20 @@ func (p *Pool) auditedRuns(ctx context.Context, m *Multicore, cfg Config, maxRun
 		}
 	}
 	return n, nil
+}
+
+// appendInts appends each value, space-terminated, to b.
+func appendInts(b []byte, vs ...int64) []byte {
+	for _, v := range vs {
+		b = append(strconv.AppendInt(b, v, 10), ' ')
+	}
+	return b
+}
+
+// b2i is 1 for true, 0 for false.
+func b2i(v bool) int64 {
+	if v {
+		return 1
+	}
+	return 0
 }

@@ -10,7 +10,6 @@ import (
 	"efl/internal/bench"
 	"efl/internal/cache"
 	"efl/internal/cpu"
-	"efl/internal/efl"
 	"efl/internal/fault"
 	"efl/internal/isa"
 	"efl/internal/memctrl"
@@ -327,10 +326,10 @@ func loopRun(m *Multicore, buf *trace.Buffer, loop func(*Multicore, *Result) err
 // RunInto and through the reference loop must agree in every field of
 // Result, in CoherenceStats, SharingReport and the full traced event list
 // — and, with a watchdog budget or an instruction ceiling small enough to
-// trip, in the error. On analysis platforms the RunInto side replays the
-// program's recorded trace, as a pooled campaign does (interpreting when
-// the recording exceeds the instruction ceiling, as Pool.traceFor does),
-// and the reference side interprets.
+// trip, in the error. The RunInto side replays every core's pooled trace,
+// as Pool.Get attaches them (interpreting on coherent platforms and where
+// the program outruns the instruction ceiling), and the reference side
+// interprets.
 func TestGeneralLoopMatchesReference(t *testing.T) {
 	loops := [2]func(*Multicore, *Result) error{(*Multicore).RunInto, referenceRun}
 	bufs := [2]*trace.Buffer{trace.NewBuffer(1 << 19), trace.NewBuffer(1 << 19)}
@@ -347,6 +346,7 @@ func TestGeneralLoopMatchesReference(t *testing.T) {
 	}
 	for _, p := range loopPlatforms(t, 5) {
 		t.Run(p.name, func(t *testing.T) {
+			pool := NewPool()
 			for _, tc := range cases {
 				var ms [2]*Multicore
 				for i := range ms {
@@ -363,9 +363,13 @@ func TestGeneralLoopMatchesReference(t *testing.T) {
 					m.SetTracer(bufs[i])
 					ms[i] = m
 				}
-				if p.cfg.Mode == efl.Analysis {
-					tr, _ := cpu.RecordTrace(p.progs[0], ms[0].cfg.MaxInstrPerCore)
-					ms[0].setReplay(tr)
+				pool.replay(ms[0])
+				for _, ctl := range ms[0].cores {
+					// Every core replays but on coherent platforms and where
+					// the program outruns the instruction ceiling.
+					if want := p.cfg.SharedDataBytes == 0 && tc.name != "instr-ceiling"; ctl.core != nil && ctl.core.Replaying() != want {
+						t.Fatalf("%s: core %d replaying = %v, want %v", tc.name, ctl.id, !want, want)
+					}
 				}
 				for run := 1; run <= 2; run++ {
 					got := loopRun(ms[0], bufs[0], loops[0])

@@ -2,8 +2,10 @@ package sim
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -352,22 +354,34 @@ func TestPoolCancellation(t *testing.T) {
 	}
 }
 
+// pooledTrace returns the trace p holds for prog's image at lineBytes,
+// and whether it holds one.
+func (p *Pool) pooledTrace(prog *isa.Program, lineBytes int) (*cpu.Trace, bool) {
+	e, ok := p.traces.Get(traceKey{imageSum(prog), lineBytes})
+	return e.tr, ok && e.prog.SameImage(prog)
+}
+
 // TestPoolTraceRecordedOnce pins that a pool records one program's replay
-// trace once, however many campaigns — fixed-count or streamed — run it.
+// trace once, however many campaigns — fixed-count or streamed — and
+// deployments run it, and whichever separately built copy of the program
+// they pass: traces are keyed by the program's image, not its pointer.
 func TestPoolTraceRecordedOnce(t *testing.T) {
 	cfg := DefaultConfig().WithEFL(500)
-	prog := loopProg("once", 256, 3)
+	build := func() *isa.Program { return loopProg("once", 256, 3) }
 	pool := NewPool()
 	var first *cpu.Trace
 	for seed := uint64(1); seed <= 3; seed++ {
-		if _, err := pool.CollectAnalysisTimes(context.Background(), cfg, prog, 5, seed); err != nil {
+		if _, err := pool.CollectAnalysisTimes(context.Background(), cfg, build(), 5, seed); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, prog, 0, 4,
+		if _, err := pool.StreamAnalysisTimes(context.Background(), cfg, build(), 0, 4,
 			func(i int) uint64 { return seed + uint64(i) }, func(float64) bool { return false }); err != nil {
 			t.Fatal(err)
 		}
-		tr, ok := pool.traces.Get(prog)
+		if _, err := pool.Get(cfg, []*isa.Program{build(), build()}, seed); err != nil {
+			t.Fatal(err)
+		}
+		tr, ok := pool.pooledTrace(build(), cfg.LineBytes)
 		if !ok || tr == nil {
 			t.Fatalf("seed %d: no pooled trace for the program", seed)
 		}
@@ -384,20 +398,39 @@ func TestPoolTraceRecordedOnce(t *testing.T) {
 
 // TestPoolTraceBudget pins the pool's replay-trace bound: serving more
 // distinct programs than the byte budget holds keeps the pool within it,
-// evicting the least recently used traces first.
+// evicting the least recently used traces first, and the byte budget
+// binds before the entry cap. The programs differ in one data word, so
+// each has its own image and trace; they sweep four arrays 16 KiB apart,
+// so every load carries a full address and few instructions fill the
+// budget.
 func TestPoolTraceBudget(t *testing.T) {
-	base := loopProg("big", 4096, 20)
-	tr, err := cpu.RecordTrace(base, DefaultConfig().MaxInstrPerCore)
+	b := isa.NewBuilder("big")
+	b.ReserveData(4 << 16)
+	b.Movi(1, int64(isa.DataBase))
+	b.Movi(2, int64(isa.DataBase)+1<<16)
+	b.Label("sweep")
+	for i := int64(0); i < 4; i++ {
+		b.Ld(3, 1, i<<14)
+	}
+	b.Addi(1, 1, 8)
+	b.Blt(1, 2, "sweep")
+	b.Halt()
+	base := b.MustProgram()
+	tr, err := cpu.RecordTraceFor(base, DefaultConfig().MaxInstrPerCore, DefaultConfig().LineBytes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fit := int(poolTraceBytes / tr.Bytes())
+	if fit >= poolTraceEntries {
+		t.Fatalf("%d traces of %d bytes fit the byte budget: the entry cap %d binds first", fit, tr.Bytes(), poolTraceEntries)
+	}
 	pool := NewPool()
 	progs := make([]*isa.Program, fit+3)
 	for i := range progs {
-		cp := *base // a distinct program pointer with the same trace
+		cp := *base
+		cp.Data = binary.LittleEndian.AppendUint64(append([]byte(nil), base.Data...), uint64(i))
 		progs[i] = &cp
-		pool.traceFor(progs[i], DefaultConfig().MaxInstrPerCore)
+		pool.traceFor(progs[i], DefaultConfig().LineBytes, DefaultConfig().MaxInstrPerCore)
 		if got := pool.traces.Bytes(); got > poolTraceBytes {
 			t.Fatalf("after %d programs the pool holds %d trace bytes, budget %d", i+1, got, poolTraceBytes)
 		}
@@ -405,10 +438,64 @@ func TestPoolTraceBudget(t *testing.T) {
 	if n := pool.traces.Len(); n != fit {
 		t.Fatalf("pool holds %d traces, want the %d that fit the budget", n, fit)
 	}
-	if _, ok := pool.traces.Get(progs[0]); ok {
+	if _, ok := pool.pooledTrace(progs[0], DefaultConfig().LineBytes); ok {
 		t.Fatal("the least recently used trace survived past the budget")
 	}
-	if _, ok := pool.traces.Get(progs[len(progs)-1]); !ok {
+	if _, ok := pool.pooledTrace(progs[len(progs)-1], DefaultConfig().LineBytes); !ok {
 		t.Fatal("the most recent trace was evicted")
+	}
+}
+
+// TestConfigKeyCoversEveryField pins that the pool's configuration key
+// tells apart two configurations differing in any one field of Config or
+// of a hierarchy level, so a field added later without a place in
+// appendConfigKey fails here instead of aliasing pooled platforms.
+func TestConfigKeyCoversEveryField(t *testing.T) {
+	base := threeLevelConfig()
+	base.PartitionWays = []int{1, 2, 3, 2}
+	want := configKey(base)
+	bump := func(v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(v.Int() + 1)
+		case reflect.Uint64:
+			v.SetUint(v.Uint() + 1)
+		case reflect.Bool:
+			v.SetBool(!v.Bool())
+		case reflect.String:
+			v.SetString(v.String() + "x")
+		default:
+			t.Fatalf("no way to change a %s field", v.Kind())
+		}
+	}
+	check := func(what string, cfg Config) {
+		if configKey(cfg) == want {
+			t.Errorf("changing %s leaves the configuration key unchanged", what)
+		}
+	}
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		cfg := base
+		cfg.PartitionWays = slices.Clone(base.PartitionWays)
+		cfg.Hierarchy = slices.Clone(base.Hierarchy)
+		switch name {
+		case "PartitionWays":
+			cfg.PartitionWays[1]++
+			check(name, cfg)
+			cfg.PartitionWays = nil
+			check(name+" (nil)", cfg)
+		case "Hierarchy":
+			lt := reflect.TypeOf(cache.LevelSpec{})
+			for j := 0; j < lt.NumField(); j++ {
+				lvl := slices.Clone(base.Hierarchy)
+				bump(reflect.ValueOf(&lvl[0]).Elem().Field(j))
+				cfg.Hierarchy = lvl
+				check(name+"."+lt.Field(j).Name, cfg)
+			}
+		default:
+			bump(reflect.ValueOf(&cfg).Elem().Field(i))
+			check(name, cfg)
+		}
 	}
 }

@@ -270,8 +270,11 @@ func unseeded() rng.Stream { return rng.New(0) }
 // Reuse swaps progs in for the platform's program set and rewinds it
 // under seed: the result is bit-identical to New(m.Config(), progs, seed)
 // (pinned by TestReuseMatchesFresh), which is how New itself finishes.
-// Cores that stay active keep their L1 line arrays; cores that become
-// active get new L1s, seeded by Rewind like every other structure.
+// Cores that stay active keep their core, machine and L1s, re-targeted
+// in place, so swapping program sets allocates nothing; cores that
+// become active get new ones, seeded by Rewind like every other
+// structure. Every core interprets afterwards: replay traces are
+// attached by Pool.Get.
 // Campaign code reuses one platform per (worker, Config) through Pool
 // instead of constructing thousands.
 func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
@@ -296,17 +299,21 @@ func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
 		if cfg.PartitionWays != nil && cfg.PartitionWays[i] == 0 {
 			return fmt.Errorf("sim: core %d runs a program but has a 0-way partition", i)
 		}
+		if ctl.core != nil {
+			// The core stays active: re-target its machine in place and
+			// detach any replay trace of its previous program.
+			if err := ctl.core.M.Load(m.progs[i]); err != nil {
+				return err
+			}
+			ctl.core.SetReplay(nil)
+			continue
+		}
 		machine, err := isa.NewMachine(m.progs[i])
 		if err != nil {
 			return err
 		}
-		var il1, dl1 *cache.Cache
-		if ctl.core != nil {
-			il1, dl1 = ctl.core.IL1, ctl.core.DL1
-		} else {
-			il1 = cache.New(cfg.l1Config(fmt.Sprintf("IL1-%d", i)), unseeded())
-			dl1 = cache.New(cfg.l1Config(fmt.Sprintf("DL1-%d", i)), unseeded())
-		}
+		il1 := cache.New(cfg.l1Config(fmt.Sprintf("IL1-%d", i)), unseeded())
+		dl1 := cache.New(cfg.l1Config(fmt.Sprintf("DL1-%d", i)), unseeded())
 		ctl.core = cpu.New(i, machine, il1, dl1)
 		ctl.core.BranchPenalty = cfg.BranchPenalty
 		ctl.core.WriteThrough = cfg.DL1WriteThrough
@@ -607,9 +614,11 @@ func (m *Multicore) generalAdvance(limit int64) error {
 // that dispatched event itself, and a later one whose start clock is
 // strictly below otherMin (every other candidate) has nothing before it
 // either, so both commit at once; a later one at or past otherMin is
-// deferred (stDeferred) to be committed when the loop reaches it. The
-// core stops running ahead once its clock passes the cycle limit, leaving
-// the limit check to the loop.
+// deferred (stDeferred) to be committed when the loop reaches it. A
+// replaying core retires many steps per Step call (a burst), so the step
+// that needs the platform is placed by its own start clock (StepStart),
+// not by the burst's. The core stops running ahead once its clock passes
+// the cycle limit, leaving the limit check to the loop.
 //
 // Coherent platforms keep the core behind every other event: a peer's
 // upgrade invalidates lines in this core's DL1 and its shared-window
@@ -620,18 +629,19 @@ func (m *Multicore) runAhead(ctl *coreCtl, otherMin, limit int64) error {
 	if m.coh != nil {
 		bound = min(limit, otherMin-1)
 	}
+	dispatched := ctl.core.Clock
 	need := ctl.core.Step()
 	for m.private(ctl, need) {
-		start := ctl.core.Clock
-		if start > bound {
+		if ctl.core.Clock > bound {
 			return nil
 		}
-		if need = ctl.core.Step(); !m.private(ctl, need) && start >= otherMin {
-			ctl.state = stDeferred
-			ctl.need = need
-			ctl.wakeAt = start
-			return nil
-		}
+		need = ctl.core.Step()
+	}
+	if start := ctl.core.StepStart(); start > dispatched && start >= otherMin {
+		ctl.state = stDeferred
+		ctl.need = need
+		ctl.wakeAt = start
+		return nil
 	}
 	return m.commitStep(ctl, need)
 }

@@ -39,6 +39,12 @@ echo "== go test -race (all packages except the long experiments campaigns)"
 # the gate's runtime for no extra interleaving coverage.
 go test -race -count=1 $(go list ./... | grep -v internal/experiments)
 
+echo "== fuzz: packed replay traces vs the interpreter (10s)"
+# Random programs from isa's decoder, their traces packed at two line
+# sizes and exact, replayed against interpretation (the checked-in seed
+# corpus also runs in every go test).
+go test -run XXX -fuzz FuzzReplayMatchesInterpreter -fuzztime 10s ./internal/cpu
+
 echo "== audited campaign smoke (artifacts + parallel engine + -audit soundness invariants)"
 smokedir=$(mktemp -d)
 go run ./cmd/experiments -exp iid -runs 40 -parallel 2 -audit -out "$smokedir" >/dev/null
