@@ -324,6 +324,26 @@ func (c *Cache) Reseed(seed uint64) {
 	}
 }
 
+// Carry is what a cache carries from one run into the next: its PRNG
+// stream (victim draws, the next run's RII) and the tag-flip fill counter.
+// Contents and statistics start afresh every run.
+type Carry struct {
+	rnd       rng.MWC
+	fillCount uint64
+}
+
+// SaveCarry returns the cache's carried state. It panics unless the cache
+// draws from an MWC, which every cache does outside fault injection.
+func (c *Cache) SaveCarry() Carry {
+	return Carry{rnd: *c.rnd.Src.(*rng.MWC), fillCount: c.fillCount}
+}
+
+// RestoreCarry rewinds the cache's carried state to k, saved by SaveCarry.
+func (c *Cache) RestoreCarry(k Carry) {
+	*c.rnd.Src.(*rng.MWC) = k.rnd
+	c.fillCount = k.fillCount
+}
+
 // setIndex maps a line address to its set: a masked index for the TD
 // policy, the parametric hash for the TR policy. Both are direct calls.
 func (c *Cache) setIndex(la uint64) int {

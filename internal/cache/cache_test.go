@@ -265,6 +265,30 @@ func TestNewRunChangesMapping(t *testing.T) {
 	}
 }
 
+// TestCarryRewindsDraws pins SaveCarry/RestoreCarry: a run started from a
+// restored carry draws the same RII and victims as the run after the save,
+// and the armed tag-flip fault corrupts the same fills.
+func TestCarryRewindsDraws(t *testing.T) {
+	c := New(l1(TimeRandomised), rng.New(11))
+	c.InjectTagFlip(2, 5)
+	run := func() []AccessResult {
+		c.NewRun()
+		var out []AccessResult
+		for a := uint64(0); a < 64<<10; a += 16 * 7 {
+			out = append(out, c.Access(a, a%3 == 0, FullMask(4), -1))
+		}
+		return out
+	}
+	run() // advance the stream and the fill counter past their initial state
+	k := c.SaveCarry()
+	want := run()
+	run()
+	c.RestoreCarry(k)
+	if got := run(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatal("a run from the restored carry diverged from the run after the save")
+	}
+}
+
 func TestFlushCountsDirty(t *testing.T) {
 	c := New(l1(TimeRandomised), rng.New(10))
 	full := FullMask(4)

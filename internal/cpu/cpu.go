@@ -16,7 +16,12 @@
 // The core is driven as a state machine by package sim: Step runs until
 // the current instruction either retires (NeedNone) or requires one or
 // more shared-memory transactions (NeedLLC); the simulator performs the
-// transactions and calls Resume with the completion cycle.
+// transactions and calls Resume with the completion cycle. No decision
+// in Step depends on the clock, so a core can also be stepped without
+// Resume, in private time: its clock then counts only its own pipeline's
+// cycles, and every step starts and ends a fixed offset from where the
+// resumed core's would. Package sim steps the cores of a non-coherent
+// platform that way, each on a goroutine of its own.
 //
 // Step is the only code that times an instruction. Each instruction comes
 // from one of two sources: the interpreter (isa.Machine) or, when a
@@ -51,7 +56,7 @@ const (
 
 // ReqKind distinguishes the two shared-memory transaction types a core
 // issues.
-type ReqKind int
+type ReqKind uint8
 
 const (
 	// ReqFetch reads a line from the LLC (and memory beyond) into an L1.
@@ -71,10 +76,10 @@ const (
 // Request is one shared-memory transaction the simulator must perform on
 // the core's behalf.
 type Request struct {
-	Kind  ReqKind
 	Addr  uint64 // byte address (ReqFetch) or line-aligned address (ReqWriteback)
-	Instr bool   // instruction-side request (IL1) vs data-side (DL1)
-	Excl  bool   // ReqFetch of a shared line for writing (read-for-ownership)
+	Kind  ReqKind
+	Instr bool // instruction-side request (IL1) vs data-side (DL1)
+	Excl  bool // ReqFetch of a shared line for writing (read-for-ownership)
 }
 
 // Coherence is the simulator-side MSI directory the core consults on every
@@ -178,11 +183,10 @@ type Core struct {
 	fline  uint64
 	rdata  uint64
 	rdata1 uint64
-	// Burst-mode bounds (EnableReplayBurst/SetReplayYieldClock): a burst
-	// yields at the first retire past replayBurstCap instructions or past
-	// replayYieldClock cycles; replayBurstCap == 0 disables bursting.
-	replayBurstCap   uint64
-	replayYieldClock int64
+	// replayBurstCap is the burst-mode bound (EnableReplayBurst): a burst
+	// yields at the first retire past replayBurstCap instructions; 0
+	// disables bursting.
+	replayBurstCap uint64
 
 	// addrBase disambiguates per-core physical addresses: every task has
 	// private code and data (the paper's tasks share nothing), so core i's
@@ -428,8 +432,8 @@ func (c *Core) Step() Need {
 // StepStart returns the clock at which the step that ended the last Step
 // call began: the call's start clock, or in a replay burst the start of
 // its last instruction (or of the resumption that ended the burst). A
-// simulator that lets a core run ahead places a stalling step's shared
-// transaction at this clock.
+// simulator that steps a core apart from the platform places a stalling
+// step's shared transactions by this clock.
 func (c *Core) StepStart() int64 { return c.stepStart }
 
 // halt stops the core, recording the fault that stopped it (nil for HALT).

@@ -414,25 +414,16 @@ func (c *Core) Replaying() bool { return c.replay != nil }
 // resource), so the simulator sees the same events however many retires
 // one Step covers, provided it places a stalling step by that step's own
 // start clock (StepStart). The burst yields at the first retire past
-// maxInstr (the instruction-ceiling check) and past the yield clock (the
-// cycle-limit check; see SetReplayYieldClock). A segment retires its
-// instructions together, so a trace longer than maxInstr can overshoot
-// the first bound; simulators attach only traces that fit it. An
-// interpreting core never bursts: on a coherent platform its hitting
-// stores call Coh.Touch, which is shared state.
-func (c *Core) EnableReplayBurst(maxInstr uint64) {
-	c.replayBurstCap = maxInstr
-	c.replayYieldClock = math.MaxInt64
-}
-
-// SetReplayYieldClock bounds burst replay in time: a burst yields at the
-// first retire whose clock exceeds t, the run's effective cycle limit, so
-// it cannot run past a budget the per-instruction path would have tripped.
-func (c *Core) SetReplayYieldClock(t int64) { c.replayYieldClock = t }
+// maxInstr, the instruction-ceiling check; nothing in it reads the clock,
+// so a burst retires the same instructions whatever clock it starts at. A
+// segment retires its instructions together, so a trace longer than
+// maxInstr can overshoot the bound; simulators attach only traces that
+// fit it. An interpreting core never bursts: on a coherent platform its
+// hitting stores call Coh.Touch, which is shared state.
+func (c *Core) EnableReplayBurst(maxInstr uint64) { c.replayBurstCap = maxInstr }
 
 // bursting reports whether a replaying core in burst mode keeps retiring
 // inside the current Step call.
 func (c *Core) bursting() bool {
-	return c.replay != nil && c.replayBurstCap > 0 &&
-		c.retired <= c.replayBurstCap && c.Clock <= c.replayYieldClock
+	return c.replay != nil && c.replayBurstCap > 0 && c.retired <= c.replayBurstCap
 }

@@ -18,12 +18,20 @@ import "efl/internal/cpu"
 //     step of the New → Reuse → Rewind lifecycle in sim.go), so the
 //     steady state allocates nothing.
 //
-// The runs themselves go through the one event loop, generalAdvance.
-// Both shortcuts are bit-identical to a fresh interpreted run — pinned by
-// the all-kernel golden test, the pooled-vs-fresh property tests and the
-// loop differential test, whose RunInto side replays every core. The
-// campaign loops that drive analysis runs (Pool.CollectAnalysisTimes,
-// Pool.StreamAnalysisTimes) live in pool.go.
+// The runs themselves go through the one event loop, generalAdvance, and
+// on every non-coherent platform, pooled or fresh, a third shortcut cuts
+// the loop's own work:
+//
+//   - stall streams: each active core steps on a producer goroutine of
+//     its own, in private time, and the loop reads one record per step
+//     that needs the platform instead of stepping the core (stream.go).
+//
+// All three are bit-identical to a fresh interpreted run in lockstep —
+// pinned by the all-kernel golden test, the pooled-vs-fresh property
+// tests and the two differential tests against the reference loop, whose
+// RunInto sides replay and stream every core. The campaign loops that
+// drive analysis runs (Pool.CollectAnalysisTimes, Pool.StreamAnalysisTimes)
+// live in pool.go.
 
 // effectiveLimit is the run's cycle ceiling: the configured maximum,
 // tightened by the runner watchdog budget when one is armed.
@@ -40,10 +48,9 @@ func (m *Multicore) effectiveLimit() int64 {
 // interpreter; the timing code is the same either way. Replay runs in
 // burst mode: the core retires whole stretches of hitting instructions
 // per Step call, yielding only at shared-memory stalls and at the
-// run-abort bounds (instruction ceiling, cycle limit — the latter set per
-// run by setReplayYield). A trace longer than the instruction ceiling is
-// not attached: a segment retires several instructions at once, so the
-// ceiling check could fire late.
+// instruction ceiling. A trace longer than the ceiling is not attached: a
+// segment retires several instructions at once, so the ceiling check
+// could fire late.
 func (m *Multicore) setReplay(ctl *coreCtl, tr *cpu.Trace) {
 	if tr != nil && uint64(tr.Len()) > m.cfg.MaxInstrPerCore+1 {
 		tr = nil
@@ -51,16 +58,5 @@ func (m *Multicore) setReplay(ctl *coreCtl, tr *cpu.Trace) {
 	ctl.core.SetReplay(tr)
 	if tr != nil {
 		ctl.core.EnableReplayBurst(m.cfg.MaxInstrPerCore)
-	}
-}
-
-// setReplayYield propagates the run's effective cycle limit to every
-// replaying core so bursts yield where the per-instruction path would have
-// tripped the limit check.
-func (m *Multicore) setReplayYield(limit int64) {
-	for _, ctl := range m.cores {
-		if ctl.core != nil {
-			ctl.core.SetReplayYieldClock(limit)
-		}
 	}
 }

@@ -34,7 +34,6 @@ type referenceLoop struct {
 func referenceRun(m *Multicore, res *Result) error {
 	m.reset()
 	limit := m.effectiveLimit()
-	m.setReplayYield(limit)
 	r := &referenceLoop{m: m, evReady: make([]int64, len(m.cores)), evWake: make([]int64, len(m.cores))}
 	for _, ctl := range m.cores {
 		r.noteCore(ctl)

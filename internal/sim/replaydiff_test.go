@@ -77,13 +77,15 @@ func replayDiffPrograms(t *testing.T) []func() *isa.Program {
 }
 
 // TestPooledReplayMatchesInterpreter is the seeded differential test of
-// all-core replay, with the interpreter as the oracle. Each round draws a
-// platform of replayDiffConfigs (each twice, once under -race), a mix of
-// four programs (the kernels and
+// all-core replay and the stall streams, with the lockstep interpreter as
+// the oracle. Each round draws a platform of replayDiffConfigs (each
+// twice, once under -race), a mix of four programs (the kernels and
 // synthetic-trace programs, any of them possibly idle) and a seed; one
-// pool, reused across rounds, runs the mix with every core replaying,
-// and a fresh New interprets it. The two runs must agree in every field
-// of Result, in CoherenceStats and in the full traced event list.
+// pool, reused across rounds, runs the mix through RunInto with every
+// core replaying and streaming, and a fresh New interprets it through
+// the reference loop, which steps every core in lockstep with the
+// platform. The two runs must agree in every field of Result, in
+// CoherenceStats and in the full traced event list.
 func TestPooledReplayMatchesInterpreter(t *testing.T) {
 	configs := replayDiffConfigs()
 	names := make([]string, 0, len(configs))
@@ -134,9 +136,10 @@ func TestPooledReplayMatchesInterpreter(t *testing.T) {
 			t.Fatal(err)
 		}
 		var got, want loopOutcome
+		loops := [2]func(*Multicore, *Result) error{(*Multicore).RunInto, referenceRun}
 		for i, m := range []*Multicore{pooled, fresh} {
 			m.SetTracer(bufs[i])
-			o := loopRun(m, bufs[i], (*Multicore).RunInto)
+			o := loopRun(m, bufs[i], loops[i])
 			m.SetTracer(nil)
 			if o.Dropped > 0 {
 				t.Fatalf("round %d (%s): trace buffer dropped %d events", round, name, o.Dropped)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"efl/internal/bus"
 	"efl/internal/cache"
@@ -20,7 +21,6 @@ type ctlState int
 
 const (
 	stReady    ctlState = iota // can execute instructions
-	stDeferred                 // ran ahead to a stalling step; its commit is due at wakeAt
 	stWaitBus                  // request queued at the bus arbiter
 	stWaitEval                 // bus granted; LLC lookup completes at wakeAt
 	stWaitEAB                  // evicting miss stalled on the EFL counter
@@ -36,8 +36,7 @@ type coreCtl struct {
 	core  *cpu.Core // nil for idle cores
 	state ctlState
 
-	wakeAt   int64        // stDeferred / stWaitEval / stWaitEAB / stWaitWake
-	need     cpu.Need     // stDeferred: what the stalling step needs (see commitStep)
+	wakeAt   int64        // stWaitEval / stWaitEAB / stWaitWake
 	req      cpu.Request  // transaction being processed
 	issuedAt int64        // when req was issued (stall accounting)
 	evalAt   int64        // when the LLC lookup completed (EAB wait basis)
@@ -48,6 +47,14 @@ type coreCtl struct {
 	owner   int
 
 	analysisBusWait int64 // phantom-contender cycles charged (analysis mode)
+
+	// The core's stall stream (stream.go), on non-coherent platforms: its
+	// producer, the record the core is at, the clock it resumed at after
+	// the previous record, and the index of the record's next request.
+	prod    *producer
+	rec     *stall
+	resumed int64
+	nextReq int
 
 	// acct attributes every stall cycle of this core's clock to the shared
 	// resource that consumed it. The stall segments of one transaction tile
@@ -151,10 +158,11 @@ type Multicore struct {
 	// of the scheduler, so each candidate is updated only when the
 	// corresponding structure changes:
 	//
-	//   evCore[i]  — core i's next event, never when it has none: its
-	//                Clock while stReady, the stalling step's start clock
-	//                while stDeferred (both of the core class), its wakeAt
-	//                in a timed wait (the wake class, marked wake)
+	//   evCore[i]  — core i's next event, never when it has none: while
+	//                stReady its Clock, or on a streamed core the start
+	//                clock of its next stall record (both of the core
+	//                class); its wakeAt in a timed wait (the wake class,
+	//                marked wake)
 	//   evCRG[i]   — core i's CRG next fire time, never when inactive;
 	//                scanned only when crgs is set
 	//   evBus/evMC — next grant/issue time, never when idle
@@ -174,6 +182,11 @@ type Multicore struct {
 	// faulted records whether a fault plan is armed; see fault.go.
 	watchdog int64
 	faulted  bool
+
+	// streaming is set while a run reads its cores' stall streams, and
+	// producers counts the running producer goroutines (stream.go).
+	streaming bool
+	producers sync.WaitGroup
 }
 
 // never is the sentinel for "no pending event".
@@ -320,6 +333,8 @@ func (m *Multicore) Reuse(progs []*isa.Program, seed uint64) error {
 		if m.coh != nil {
 			ctl.core.SharedLimit = isa.DataBase + uint64(cfg.SharedDataBytes)
 			ctl.core.Coh = m.coh
+		} else if ctl.prod == nil {
+			ctl.prod = newProducer(m.producers.Done)
 		}
 	}
 	m.Rewind(seed)
@@ -364,9 +379,11 @@ func (m *Multicore) noteCore(ctl *coreCtl) {
 	e := coreEvent{t: never}
 	switch ctl.state {
 	case stReady:
-		e.t = ctl.core.Clock
-	case stDeferred:
-		e.t = ctl.wakeAt
+		if m.streaming {
+			e.t = ctl.resumed + ctl.rec.start
+		} else {
+			e.t = ctl.core.Clock
+		}
 	case stWaitEval, stWaitEAB, stWaitWake:
 		e = coreEvent{t: ctl.wakeAt, wake: true}
 	}
@@ -396,8 +413,10 @@ func (m *Multicore) mcRequest(r memctrl.Request) {
 
 // reset rewinds everything for a fresh run: machines, pipeline state,
 // caches (new RIIs), bus, memory controller, EFL fabric and the cached
-// event candidates.
+// event candidates. It saves each streamed core's L1 carries first, for
+// the rollback of a failed run.
 func (m *Multicore) reset() {
+	m.streaming = false
 	m.llc.NewRun()
 	m.llc.ResetStats()
 	for i := range m.mids {
@@ -419,6 +438,9 @@ func (m *Multicore) reset() {
 		ctl.acct.Reset()
 		ctl.maxReadLat = 0
 		if ctl.core != nil {
+			if p := ctl.prod; p != nil {
+				p.carry = [2]cache.Carry{ctl.core.IL1.SaveCarry(), ctl.core.DL1.SaveCarry()}
+			}
 			ctl.core.Reset()
 			ctl.state = stReady
 		} else {
@@ -452,15 +474,23 @@ func (m *Multicore) Run() (*Result, error) {
 // reused when large enough, so repeated-measurement campaigns (MBPTA
 // collects hundreds of runs per configuration) allocate nothing per run.
 // Every platform, analysis or deployment, runs the one event loop
-// (generalAdvance).
+// (generalAdvance); a non-coherent platform's cores feed it stall streams
+// (stream.go). Every producer has exited when RunInto returns or panics,
+// and a producer's panic is raised again here.
 func (m *Multicore) RunInto(res *Result) error {
 	m.reset()
 	// Effective cycle limit: the configured ceiling, tightened by the
 	// runner watchdog budget when one is armed. Exceeding the budget is a
 	// deterministic kill (ErrWatchdog), independent of wall-clock time.
 	limit := m.effectiveLimit()
-	m.setReplayYield(limit)
-	if err := m.generalAdvance(limit); err != nil {
+	defer m.join()
+	if m.coh == nil {
+		m.stream(limit)
+	}
+	err := m.generalAdvance(limit)
+	m.join()
+	if err != nil {
+		m.rollback()
 		return err
 	}
 	m.collectInto(res)
@@ -554,13 +584,13 @@ func (m *Multicore) generalAdvance(limit int64) error {
 			ctl := m.cores[coreIdx]
 			for otherMin := min(tCore2, tCRG, tBus, tMC); ; {
 				var err error
-				switch ctl.state {
-				case stReady:
-					err = m.runAhead(ctl, otherMin, limit)
-				case stDeferred:
-					err = m.commitStep(ctl, ctl.need)
-				default:
+				switch {
+				case ctl.state != stReady:
 					m.wake(ctl)
+				case m.streaming:
+					err = m.commitStall(ctl)
+				default:
+					err = m.runAhead(ctl, otherMin, limit)
 				}
 				if err != nil {
 					return err
@@ -604,32 +634,16 @@ func (m *Multicore) generalAdvance(limit int64) error {
 	}
 }
 
-// runAhead executes ctl, a ready core dispatched at its clock, through its
-// private steps. Those touch only the core's own pipeline, machine and
-// L1s, which no other event reads or writes, so they commute with every
-// event dispatched before them and need not wait for their turn. Only a
-// step that needs the platform — a shared transaction, the halt, or the
-// instruction-ceiling error — has to happen at its place in the dispatch
-// order: the step's start clock, in the core class. The first step is
-// that dispatched event itself, and a later one whose start clock is
-// strictly below otherMin (every other candidate) has nothing before it
-// either, so both commit at once; a later one at or past otherMin is
-// deferred (stDeferred) to be committed when the loop reaches it. A
-// replaying core retires many steps per Step call (a burst), so the step
-// that needs the platform is placed by its own start clock (StepStart),
-// not by the burst's. The core stops running ahead once its clock passes
-// the cycle limit, leaving the limit check to the loop.
-//
-// Coherent platforms keep the core behind every other event: a peer's
-// upgrade invalidates lines in this core's DL1 and its shared-window
-// accesses write the directory (Coh.Touch), so there its steps are not
-// private.
+// runAhead executes ctl, a ready core of a coherent platform dispatched at
+// its clock, through its steps while they stay private and strictly below
+// otherMin (every other candidate) and the cycle limit. Its steps are not
+// private in time: a peer's upgrade invalidates lines in its DL1 and its
+// shared-window accesses write the directory (Coh.Touch), so it runs in
+// lockstep with every other event. A step that needs the platform — a
+// shared transaction, the halt, or the instruction-ceiling error — starts
+// below otherMin, so it commits at once.
 func (m *Multicore) runAhead(ctl *coreCtl, otherMin, limit int64) error {
-	bound := limit
-	if m.coh != nil {
-		bound = min(limit, otherMin-1)
-	}
-	dispatched := ctl.core.Clock
+	bound := min(limit, otherMin-1)
 	need := ctl.core.Step()
 	for m.private(ctl, need) {
 		if ctl.core.Clock > bound {
@@ -637,13 +651,7 @@ func (m *Multicore) runAhead(ctl *coreCtl, otherMin, limit int64) error {
 		}
 		need = ctl.core.Step()
 	}
-	if start := ctl.core.StepStart(); start > dispatched && start >= otherMin {
-		ctl.state = stDeferred
-		ctl.need = need
-		ctl.wakeAt = start
-		return nil
-	}
-	return m.commitStep(ctl, need)
+	return m.commitStep(ctl, need, ctl.core.Clock)
 }
 
 // private reports whether the step of ctl that returned need is done
@@ -652,10 +660,19 @@ func (m *Multicore) private(ctl *coreCtl, need cpu.Need) bool {
 	return need == cpu.NeedNone && ctl.core.Retired() <= m.cfg.MaxInstrPerCore
 }
 
+// commitStall commits the stall record of ctl, a streamed core dispatched
+// at the record's start clock: its step ended at the resume clock plus
+// the record's end offset.
+func (m *Multicore) commitStall(ctl *coreCtl) error {
+	ctl.prod.committed++
+	ctl.nextReq = 0
+	return m.commitStep(ctl, cpu.Need(ctl.rec.need), ctl.resumed+ctl.rec.end)
+}
+
 // commitStep performs the platform side of a step that returned need and
-// was not private: the instruction-ceiling error, the halt, or the issue
-// of the first pending shared transaction.
-func (m *Multicore) commitStep(ctl *coreCtl, need cpu.Need) error {
+// was not private, ending at clock t: the instruction-ceiling error, the
+// halt, or the issue of the first pending shared transaction.
+func (m *Multicore) commitStep(ctl *coreCtl, need cpu.Need, t int64) error {
 	switch need {
 	case cpu.NeedNone:
 		return fmt.Errorf("sim: core %d exceeded %d instructions", ctl.id, m.cfg.MaxInstrPerCore)
@@ -663,17 +680,26 @@ func (m *Multicore) commitStep(ctl *coreCtl, need cpu.Need) error {
 		if err := ctl.core.Fault(); err != nil {
 			return fmt.Errorf("sim: core %d: %w", ctl.id, err)
 		}
+		// A streamed core's clock counts only its own cycles until here.
+		ctl.core.Clock = t
 		ctl.state = stDone
-		m.emit(ctl.core.Clock, ctl.id, trace.EvCoreHalt, 0, int64(ctl.core.Retired()))
+		m.emit(t, ctl.id, trace.EvCoreHalt, 0, int64(ctl.core.Retired()))
 	case cpu.NeedLLC:
-		m.issueRequest(ctl, ctl.core.Clock)
+		m.issueRequest(ctl, t)
+	default:
+		panic("sim: a stall past the cycle limit was dispatched")
 	}
 	return nil
 }
 
 // issueRequest starts the core's next shared transaction at cycle t.
 func (m *Multicore) issueRequest(ctl *coreCtl, t int64) {
-	ctl.req = ctl.core.PopRequest()
+	if m.streaming {
+		ctl.req = ctl.rec.req[ctl.nextReq]
+		ctl.nextReq++
+	} else {
+		ctl.req = ctl.core.PopRequest()
+	}
 	ctl.issuedAt = t
 	ctl.lvl = 0
 	if m.analysisCore(ctl) {
@@ -824,13 +850,23 @@ func (m *Multicore) memRead(ctl *coreCtl, done, lat int64) {
 }
 
 // finishRequest completes the current transaction at cycle t and either
-// issues the core's next pending transaction or resumes execution.
+// issues the core's next pending transaction or resumes execution: a
+// streamed core at its next stall record.
 func (m *Multicore) finishRequest(ctl *coreCtl, t int64) {
-	if ctl.core.HasPending() {
-		m.issueRequest(ctl, t)
-		return
+	if m.streaming {
+		if ctl.nextReq < int(ctl.rec.nreq) {
+			m.issueRequest(ctl, t)
+			return
+		}
+		ctl.resumed = t
+		ctl.rec = ctl.prod.next()
+	} else {
+		if ctl.core.HasPending() {
+			m.issueRequest(ctl, t)
+			return
+		}
+		ctl.core.Resume(t)
 	}
-	ctl.core.Resume(t)
 	ctl.state = stReady
 }
 

@@ -39,6 +39,9 @@ echo "== go test -race (all packages except the long experiments campaigns)"
 # the gate's runtime for no extra interleaving coverage.
 go test -race -count=1 $(go list ./... | grep -v internal/experiments)
 
+echo "== go test ./internal/sim on one P (stall producers and the event loop progress by parking alone)"
+GOMAXPROCS=1 go test -count=1 ./internal/sim
+
 echo "== fuzz: packed replay traces vs the interpreter (10s)"
 # Random programs from isa's decoder, their traces packed at two line
 # sizes and exact, replayed against interpretation (the checked-in seed
