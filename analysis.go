@@ -39,7 +39,8 @@ type PWCETEstimate struct {
 	Times []float64
 	// IID reports the compliance tests (§4.2): independence via
 	// Wald-Wolfowitz (|Z| < 1.96) and identical distribution via
-	// Kolmogorov-Smirnov (p > 0.05).
+	// Kolmogorov-Smirnov (p > 0.05). It is zero when the battery could not
+	// run (a constant sample, fitted only with SkipIIDCheck).
 	IID mbpta.IIDReport
 
 	res *mbpta.Result
@@ -72,21 +73,15 @@ func (e *PWCETEstimate) MaxObserved() float64 { return e.res.MaxSeen }
 // maxima are fitted with a Gumbel distribution.
 func EstimatePWCET(cfg Config, prog *Program, opt AnalysisOptions) (*PWCETEstimate, error) {
 	opt = opt.withDefaults()
-	times, err := sim.NewPool().CollectAnalysisTimes(context.Background(), cfg, prog, opt.Runs, opt.Seed)
+	times, res, err := sim.NewPool().Estimate(context.Background(), cfg, prog,
+		sim.EstimateSpec{Runs: opt.Runs, Seed: opt.Seed, SkipIID: opt.SkipIIDCheck})
 	if err != nil {
-		return nil, err
-	}
-	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: opt.SkipIIDCheck})
-	if err != nil {
+		if times == nil {
+			return nil, err
+		}
 		return nil, fmt.Errorf("efl: MBPTA analysis of %q: %w", prog.Name, err)
 	}
-	est := &PWCETEstimate{Times: times, res: res}
-	if res.IIDChecked {
-		est.IID = res.IID
-	} else if iid, err := mbpta.TestIID(times); err == nil {
-		est.IID = iid
-	}
-	return est, nil
+	return &PWCETEstimate{Times: times, IID: res.IID, res: res}, nil
 }
 
 // MeasureDeployment runs the given programs together at deployment (real

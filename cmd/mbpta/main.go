@@ -77,16 +77,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	if iid, err := mbpta.TestIID(times); err == nil {
+	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: *skipIID})
+	if res != nil && res.IIDChecked {
 		verdict := "pass"
-		if !iid.Passed {
+		if !res.IID.Passed {
 			verdict = "FAIL"
 		}
 		fmt.Printf("i.i.d.: Wald-Wolfowitz |Z|=%.3f (<1.96), KS p=%.4f (>0.05) -> %s\n",
-			iid.WW.AbsZ, iid.KS.PValue, verdict)
+			res.IID.WW.AbsZ, res.IID.KS.PValue, verdict)
 	}
-
-	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: *skipIID})
 	if err != nil {
 		fatal("%v", err)
 	}

@@ -5,15 +5,33 @@ import (
 	"math"
 	"testing"
 
+	"efl/internal/isa"
 	"efl/internal/mbpta"
 	"efl/internal/runner"
 	"efl/internal/sim"
 )
 
+// convergedSpec is the converged campaign runCampaigns runs for opt under
+// seed, with opt.Runs as its ceiling.
+func convergedSpec(opt Options, seed uint64) sim.EstimateSpec {
+	return sim.EstimateSpec{Runs: opt.Runs, Seed: seed, Converge: true, Prob: opt.Prob}
+}
+
+// pwcetAt fits times with the i.i.d. gate lifted and reads the pWCET at p.
+func pwcetAt(t *testing.T, times []float64, p float64) float64 {
+	t.Helper()
+	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.PWCET(p)
+}
+
 // TestConvergedCampaignBatchInvariant: the convergence-stopped sample is
-// defined by the run index alone — run i is exactly a fresh RunAnalysis
-// under runner.RunSeed(campaign, i), and the campaign stops where an
-// independent stream fed those reference times stops.
+// defined by the run index alone — run i is exactly one run of a fresh
+// analysis-mode platform seeded runner.RunSeed(campaign, i), and the
+// campaign stops where an independent stream fed those reference times
+// stops.
 func TestConvergedCampaignBatchInvariant(t *testing.T) {
 	spec, err := specByCode("CA")
 	if err != nil {
@@ -24,18 +42,24 @@ func TestConvergedCampaignBatchInvariant(t *testing.T) {
 	opt.Converge = true
 	seed := campaignSeed(opt.Seed, "CA/EFL500")
 	prog := spec.Build()
-	_, times, err := pooledPWCETConverged(context.Background(), opt.newPool(), opt, eflConfig(500), prog, seed)
+	_, times, err := pooledPWCET(context.Background(), opt.newPool(), eflConfig(500), prog, convergedSpec(opt, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("converged at %d runs (ceiling %d)", len(times), opt.Runs)
-	ref, err := mbpta.NewStream(opt.streamOptions())
+	ref, err := mbpta.NewStream(mbpta.StreamOptions{Prob: opt.Prob, MaxRuns: opt.Runs})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stopped := 0
+	progs := make([]*isa.Program, eflConfig(500).Cores)
+	progs[0] = prog
 	for i := range times {
-		want, err := sim.RunAnalysis(eflConfig(500), prog, runner.RunSeed(seed, i))
+		m, err := sim.New(eflConfig(500), progs, runner.RunSeed(seed, i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -68,34 +92,26 @@ func TestConvergedCampaignAgreesWithFixedCount(t *testing.T) {
 	seed := campaignSeed(opt.Seed, "CA/EFL500")
 	prog := spec.Build()
 
-	fixed, fixedTimes, err := pooledPWCET(context.Background(), opt.newPool(), eflConfig(500), prog, opt.Runs, seed, opt.Prob)
+	fixed, fixedTimes, err := pooledPWCET(context.Background(), opt.newPool(), eflConfig(500), prog,
+		sim.EstimateSpec{Runs: opt.Runs, Seed: seed, Prob: opt.Prob})
 	if err != nil {
 		t.Fatal(err)
 	}
-	copt := opt
-	copt.Converge = true
-	conv, convTimes, err := pooledPWCETConverged(context.Background(), copt.newPool(), copt, eflConfig(500), prog, seed)
+	conv, convTimes, err := pooledPWCET(context.Background(), opt.newPool(), eflConfig(500), prog, convergedSpec(opt, seed))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(convTimes) > len(fixedTimes) {
 		t.Fatalf("converged campaign used %d runs, more than the fixed count %d", len(convTimes), len(fixedTimes))
 	}
-	fa, err := pwcetFromTimes(fixedTimes, "CA", evtCheckProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ca, err := pwcetFromTimes(convTimes, "CA", evtCheckProb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disagree := math.Abs(ca.PWCET-fa.PWCET) / math.Max(ca.PWCET, fa.PWCET)
+	fa, ca := pwcetAt(t, fixedTimes, evtCheckProb), pwcetAt(t, convTimes, evtCheckProb)
+	disagree := math.Abs(ca-fa) / math.Max(ca, fa)
 	if disagree > evtThreshold {
 		t.Fatalf("converged pWCET %.0f (at %d runs) vs fixed-count %.0f (at %d runs) at p=%g: disagreement %.3f > A4 threshold %.2f",
-			ca.PWCET, len(convTimes), fa.PWCET, len(fixedTimes), evtCheckProb, disagree, evtThreshold)
+			ca, len(convTimes), fa, len(fixedTimes), evtCheckProb, disagree, evtThreshold)
 	}
 	t.Logf("converged %d runs pWCET %.0f vs fixed %d runs pWCET %.0f at p=%g (disagreement %.3f); at %g: %.0f vs %.0f",
-		len(convTimes), ca.PWCET, len(fixedTimes), fa.PWCET, evtCheckProb, disagree, opt.Prob, conv.PWCET, fixed.PWCET)
+		len(convTimes), ca, len(fixedTimes), fa, evtCheckProb, disagree, opt.Prob, conv.PWCET, fixed.PWCET)
 }
 
 // TestConvergedCampaignAudited: a converged campaign under the auditor
@@ -110,7 +126,7 @@ func TestConvergedCampaignAudited(t *testing.T) {
 	opt.Converge = true
 	opt.Audit = sim.NewAuditor()
 	seed := campaignSeed(opt.Seed, "CA/EFL500")
-	_, times, err := pooledPWCETConverged(context.Background(), opt.newPool(), opt, eflConfig(500), spec.Build(), seed)
+	_, times, err := pooledPWCET(context.Background(), opt.newPool(), eflConfig(500), spec.Build(), convergedSpec(opt, seed))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,9 +76,8 @@ func ConvergenceStudy(opt Options, mid int64, runCounts []int, codes []string) (
 			}
 			// The convergence-stopped campaign -converge runs, under the
 			// same campaign seed.
-			copt := opt
-			copt.Runs = convergenceCeiling
-			final, _, err := pooledPWCETConverged(ctx, pool, copt, eflConfig(mid), prog, seed)
+			final, _, err := pooledPWCET(ctx, pool, eflConfig(mid), prog,
+				sim.EstimateSpec{Runs: convergenceCeiling, Seed: seed, Converge: true, Prob: opt.Prob})
 			if err != nil {
 				return ConvergenceRow{}, fmt.Errorf("%s: converged campaign: %w", code, err)
 			}

@@ -224,16 +224,13 @@ type PWCETResult struct {
 	IID    mbpta.IIDReport
 }
 
-// pwcetFromTimes runs the MBPTA pipeline over a collected sample: check
-// i.i.d., fit, extract the pWCET at prob.
-func pwcetFromTimes(times []float64, name string, prob float64) (PWCETResult, error) {
-	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: true})
-	if err != nil {
-		return PWCETResult{}, fmt.Errorf("experiments: MBPTA on %s: %w", name, err)
-	}
-	iid, err := mbpta.TestIID(times)
-	if err != nil {
-		return PWCETResult{}, err
+// pwcetFromTimes summarises one analysed sample: the pWCET at prob, the
+// sample mean and maximum, and the i.i.d. report. Experiments lift the
+// i.i.d. gate and report the battery instead, so a sample the battery
+// cannot test (a constant one) is an error here.
+func pwcetFromTimes(times []float64, res *mbpta.Result, name string, prob float64) (PWCETResult, error) {
+	if !res.IIDChecked {
+		return PWCETResult{}, fmt.Errorf("experiments: MBPTA on %s: the i.i.d. battery cannot run on the sample", name)
 	}
 	var mean float64
 	for _, t := range times {
@@ -245,23 +242,26 @@ func pwcetFromTimes(times []float64, name string, prob float64) (PWCETResult, er
 		PWCET: res.PWCET(prob),
 		Mean:  mean,
 		Max:   res.MaxSeen,
-		IID:   iid,
+		IID:   res.IID,
 	}, nil
 }
 
-// pooledPWCET runs the fixed-count MBPTA campaign for prog under cfg on a
-// worker's platform pool: collect runs analysis-mode execution times, then
-// fit. Pooled platforms give results bit-identical to fresh ones (pinned by
-// sim's reuse tests) without per-campaign construction. The collected
-// sample is returned alongside the fit so callers can feed it to the
-// auditor's EVT cross-check.
-func pooledPWCET(ctx context.Context, pool *sim.Pool, cfg sim.Config, prog *isa.Program, runs int, seed uint64, prob float64) (PWCETResult, []float64, error) {
-	times, err := pool.CollectAnalysisTimes(ctx, cfg, prog, runs, seed)
+// pooledPWCET runs one MBPTA campaign for prog under cfg on a worker's
+// platform pool (Pool.Estimate, with the i.i.d. gate lifted) and reads the
+// pWCET at spec.Prob. The sample is the fixed-count one, or the
+// convergence-stopped one under spec.Converge. It is returned alongside
+// the result so callers can feed it to the auditor's EVT cross-check.
+func pooledPWCET(ctx context.Context, pool *sim.Pool, cfg sim.Config, prog *isa.Program, spec sim.EstimateSpec) (PWCETResult, []float64, error) {
+	spec.SkipIID = true
+	times, res, err := pool.Estimate(ctx, cfg, prog, spec)
 	if err != nil {
-		return PWCETResult{}, nil, err
+		if times == nil {
+			return PWCETResult{}, nil, err
+		}
+		return PWCETResult{}, nil, fmt.Errorf("experiments: MBPTA on %s: %w", prog.Name, err)
 	}
-	res, err := pwcetFromTimes(times, prog.Name, prob)
-	return res, times, err
+	out, err := pwcetFromTimes(times, res, prog.Name, spec.Prob)
+	return out, times, err
 }
 
 // eflConfig returns the analysis configuration for EFL with the given MID.
@@ -293,14 +293,8 @@ func runCampaigns(opt Options, cs []campaign) (map[string]PWCETResult, error) {
 		func(ctx context.Context, pool *sim.Pool, _ int, c campaign) (PWCETResult, error) {
 			key := c.bench.Code + "/" + c.config
 			seed := campaignSeed(opt.Seed, key)
-			var res PWCETResult
-			var times []float64
-			var err error
-			if opt.Converge {
-				res, times, err = pooledPWCETConverged(ctx, pool, opt, c.cfg, c.bench.Build(), seed)
-			} else {
-				res, times, err = pooledPWCET(ctx, pool, c.cfg, c.bench.Build(), opt.Runs, seed, opt.Prob)
-			}
+			res, times, err := pooledPWCET(ctx, pool, c.cfg, c.bench.Build(),
+				sim.EstimateSpec{Runs: opt.Runs, Seed: seed, Converge: opt.Converge, Prob: opt.Prob})
 			if err != nil {
 				return PWCETResult{}, fmt.Errorf("%s: %w", key, err)
 			}

@@ -44,7 +44,8 @@ func TestAnalysisPWCETBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := pooledPWCET(context.Background(), sim.NewPool(), eflConfig(500), spec.Build(), 60, 3, 1e-15)
+	res, _, err := pooledPWCET(context.Background(), sim.NewPool(), eflConfig(500), spec.Build(),
+		sim.EstimateSpec{Runs: 60, Seed: 3, Prob: 1e-15})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -428,9 +429,8 @@ func TestConvergenceStudy(t *testing.T) {
 		t.Fatal(err)
 	}
 	copt := opt.withDefaults()
-	copt.Runs = 1000
-	conv, times, err := pooledPWCETConverged(context.Background(), copt.newPool(), copt, eflConfig(500),
-		spec.Build(), campaignSeed(copt.Seed, "CN/convergence"))
+	conv, times, err := pooledPWCET(context.Background(), copt.newPool(), eflConfig(500), spec.Build(),
+		sim.EstimateSpec{Runs: 1000, Seed: campaignSeed(copt.Seed, "CN/convergence"), Converge: true, Prob: copt.Prob})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -198,13 +198,9 @@ func runTracesweepScenario(ctx context.Context, opt Options, pool *sim.Pool, sc 
 	// estimation protocol a trace_hash request runs through the service.
 	aseed := campaignSeed(opt.Seed, "tracesweep/"+sc.Name+"/analysis")
 	runs := tracesweepAnalysisRuns(opt)
-	times, err := pool.CollectAnalysisTimes(ctx, cfg.WithAnalysis(0), progs[0], runs, aseed)
+	fit, times, err := pooledPWCET(ctx, pool, cfg, progs[0], sim.EstimateSpec{Runs: runs, Seed: aseed, Prob: opt.Prob})
 	if err != nil {
 		return row, fmt.Errorf("%s: %w", sc.Name, err)
-	}
-	fit, err := pwcetFromTimes(times, sc.Name, opt.Prob)
-	if err != nil {
-		return row, err
 	}
 	opt.auditEVT("tracesweep/"+sc.Name, times)
 	row.AnalysisRuns, row.PWCET, row.Mean, row.Max = fit.Runs, fit.PWCET, fit.Mean, fit.Max

@@ -18,8 +18,9 @@ type Options struct {
 	// Alpha is the i.i.d. test significance level; only 0.05 is supported
 	// (the paper's value) and it is recorded for reporting.
 	Alpha float64
-	// SkipIIDTests disables the i.i.d. gate (used by experiments that test
-	// i.i.d. separately, or by ablations that deliberately break it).
+	// SkipIIDTests lifts the i.i.d. gate: a sample the battery rejects, or
+	// cannot test at all (a constant one), is still fitted. The battery
+	// still runs and is reported in Result.IID.
 	SkipIIDTests bool
 }
 
@@ -105,13 +106,15 @@ type Result struct {
 	Fit        Gumbel // fitted tail distribution (of block maxima)
 	FitKS      stats.KSResult
 	IID        IIDReport
-	IIDChecked bool
+	IIDChecked bool    // the battery ran over the sample and IID is its report
 	MaxSeen    float64 // high-water mark of the observations
 	Degenerate bool    // sample was (near-)constant; pWCET = MaxSeen
 }
 
 // Analyze runs the MBPTA pipeline over the execution times (in observation
-// order): i.i.d. gate, block maxima, Gumbel ML fit, fit validation.
+// order): the i.i.d. battery, reported in Result.IID and gating the fit
+// unless Options.SkipIIDTests lifts the gate, then block maxima, the Gumbel
+// ML fit and its validation.
 func Analyze(times []float64, opt Options) (*Result, error) {
 	if len(times) < 20 {
 		return nil, stats.ErrTooFewSamples
@@ -121,17 +124,16 @@ func Analyze(times []float64, opt Options) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Runs: len(times), BlockSize: opt.BlockSize, MaxSeen: stats.Max(times)}
-	if !opt.SkipIIDTests {
-		iid, err := TestIID(times)
-		if err != nil {
-			return nil, err
-		}
-		res.IID = iid
-		res.IIDChecked = true
-		if !iid.Passed {
+	iid, err := TestIID(times)
+	switch {
+	case err == nil:
+		res.IID, res.IIDChecked = iid, true
+		if !iid.Passed && !opt.SkipIIDTests {
 			return res, fmt.Errorf("mbpta: sample failed i.i.d. tests (WW |Z|=%.3f, KS p=%.4f)",
 				iid.WW.AbsZ, iid.KS.PValue)
 		}
+	case !opt.SkipIIDTests:
+		return nil, err
 	}
 	maxima, err := BlockMaxima(times, opt.BlockSize, opt.MinBlocks)
 	if err != nil {

@@ -3,6 +3,7 @@ package mbpta
 import (
 	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"efl/internal/rng"
@@ -214,6 +215,52 @@ func TestAnalyzeDegenerate(t *testing.T) {
 	}
 	if res.PWCET(1e-15) != 777 {
 		t.Fatalf("degenerate pWCET = %v", res.PWCET(1e-15))
+	}
+}
+
+// TestAnalyzeConstantSamplePolicy pins what Analyze does with a sample no
+// i.i.d. battery can run on: with the gate lifted it is fitted as
+// degenerate and carries no report; under the gate it is an error.
+func TestAnalyzeConstantSamplePolicy(t *testing.T) {
+	xs := make([]float64, 300)
+	for i := range xs {
+		xs[i] = 777
+	}
+	if _, err := TestIID(xs); err == nil {
+		t.Fatal("the battery ran on a constant sample")
+	}
+	res, err := Analyze(xs, Options{SkipIIDTests: true})
+	if err != nil {
+		t.Fatalf("skipped gate: %v", err)
+	}
+	if !res.Degenerate || res.IIDChecked || !reflect.DeepEqual(res.IID, IIDReport{}) {
+		t.Fatalf("skipped gate: Degenerate=%v IIDChecked=%v IID=%+v, want a degenerate result with no report",
+			res.Degenerate, res.IIDChecked, res.IID)
+	}
+	if res, err := Analyze(xs, Options{}); err == nil {
+		t.Fatalf("gated Analyze accepted a constant sample: %+v", res)
+	}
+}
+
+// TestAnalyzeReportsBatteryWhenSkipped: lifting the gate still runs the
+// battery; the report is TestIID's, passing or not.
+func TestAnalyzeReportsBatteryWhenSkipped(t *testing.T) {
+	trend := make([]float64, 300)
+	for i := range trend {
+		trend[i] = float64(i)
+	}
+	for _, xs := range [][]float64{gumbelSample(rng.New(3), Gumbel{Mu: 100, Beta: 3}, 300), trend} {
+		want, err := TestIID(xs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := Analyze(xs, Options{SkipIIDTests: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.IIDChecked || !reflect.DeepEqual(res.IID, want) {
+			t.Fatalf("IIDChecked=%v IID=%+v, want TestIID's %+v", res.IIDChecked, res.IID, want)
+		}
 	}
 }
 

@@ -16,9 +16,10 @@ const (
 	stableRefits = 3
 )
 
-// StreamOptions configures the incremental MBPTA estimator. The embedded
-// Options are the same knobs Analyze takes; the additional fields bound
-// the campaign the stopping rule runs over.
+// StreamOptions configures the incremental MBPTA estimator. Of the
+// embedded Options the stream reads BlockSize and MinBlocks (the i.i.d.
+// fields belong to Analyze); the additional fields bound the campaign the
+// stopping rule runs over.
 type StreamOptions struct {
 	Options
 	// Prob is the per-run exceedance probability the stopping rule tracks
@@ -60,7 +61,6 @@ func (o *StreamOptions) fill() error {
 		}
 		o.BlockSize = bs
 	}
-	o.Alpha = 0 // filled by Finalize's Analyze call
 	if o.BlockSize < 2 {
 		return fmt.Errorf("mbpta: BlockSize %d is not a usable block size (need >= 2)", o.BlockSize)
 	}
@@ -91,8 +91,8 @@ func (o *StreamOptions) fill() error {
 // per-block probability conversion and MaxSeen floor as Result.PWCET.
 //
 // The streaming estimates skip the i.i.d. gate (it is a whole-sample
-// property); Finalize runs the full gated Analyze over everything the
-// stream has seen and is the authoritative result.
+// property) and only drive the stopping rule: the estimate is Analyze over
+// Times, as sim.Pool.Estimate runs it.
 type Stream struct {
 	opt StreamOptions
 
@@ -214,13 +214,3 @@ func (s *Stream) Estimate() (v float64, ok bool) { return s.est, s.haveEst }
 // Times returns the observations in arrival order. The slice is the
 // stream's backing store; callers must not mutate it.
 func (s *Stream) Times() []float64 { return s.times }
-
-// Finalize runs the full MBPTA pipeline (including the i.i.d. gate, unless
-// the embedded Options skip it) over everything the stream has seen, with
-// the stream's BlockSize pinned so the result is comparable to the
-// streaming estimates. This is the authoritative analysis; the per-block
-// refits only drive the stopping rule.
-func (s *Stream) Finalize() (*Result, error) {
-	opt := s.opt.Options
-	return Analyze(s.times, opt)
-}

@@ -172,33 +172,6 @@ func TestStreamConvergesAndAgreesWithFixedCount(t *testing.T) {
 	}
 }
 
-// TestStreamFinalizeMatchesAnalyze: Finalize over the stream's sample is
-// the same Result a direct Analyze call produces with the same options.
-func TestStreamFinalizeMatchesAnalyze(t *testing.T) {
-	times := gumbelSample(rng.New(21), Gumbel{Mu: 500, Beta: 30}, 400)
-	s, err := NewStream(StreamOptions{Options: Options{SkipIIDTests: true}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range times {
-		s.Add(x)
-	}
-	got, err := s.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Analyze(times, Options{SkipIIDTests: true, BlockSize: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Fit != want.Fit || got.BlockSize != want.BlockSize || got.NumBlocks != want.NumBlocks {
-		t.Fatalf("Finalize %+v != Analyze %+v", got, want)
-	}
-	if got.PWCET(1e-15) != want.PWCET(1e-15) {
-		t.Fatalf("Finalize pWCET %v != Analyze pWCET %v", got.PWCET(1e-15), want.PWCET(1e-15))
-	}
-}
-
 // TestStreamDegenerate: a constant sample converges immediately after
 // MinRuns with the constant as its estimate (pWCET = MaxSeen).
 func TestStreamDegenerate(t *testing.T) {
@@ -287,7 +260,7 @@ func maxOf(xs []float64) float64 {
 }
 
 // TestStreamTimesOrdered: Times preserves arrival order (the i.i.d. gate
-// in Finalize depends on it).
+// in Analyze over Times depends on it).
 func TestStreamTimesOrdered(t *testing.T) {
 	s, err := NewStream(StreamOptions{})
 	if err != nil {

@@ -41,7 +41,6 @@ import (
 
 	"efl"
 	"efl/internal/lru"
-	"efl/internal/mbpta"
 	"efl/internal/metrics"
 	"efl/internal/runner"
 	"efl/internal/sched"
@@ -566,33 +565,11 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 			pool.SetAuditor(aud)
 			defer pool.SetAuditor(nil)
 		}
-		var times []float64
-		if converge {
-			// Convergence-stopped collection: the stream tracks the deepest
-			// requested tail (the slowest quantile to stabilise) and the
-			// pooled platform supplies runs with index-derived seeds.
-			stream, serr := mbpta.NewStream(mbpta.StreamOptions{
-				Options: mbpta.Options{SkipIIDTests: true},
-				Prob:    probs[0],
-				MaxRuns: runs,
-			})
-			if serr != nil {
-				return nil, serr
-			}
-			if _, serr := pool.StreamAnalysisTimes(ctx, cfg, prog, 0, runs,
-				func(i int) uint64 { return runner.RunSeed(seed, i) },
-				stream.Add); serr != nil {
-				return nil, serr
-			}
-			times = stream.Times()
-		} else {
-			var cerr error
-			times, cerr = pool.CollectAnalysisTimes(ctx, cfg, prog, runs, seed)
-			if cerr != nil {
-				return nil, cerr
-			}
-		}
-		res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: skipIID})
+		// A converged stream tracks the deepest requested tail (the slowest
+		// quantile to stabilise).
+		times, res, err := pool.Estimate(ctx, cfg, prog, sim.EstimateSpec{
+			Runs: runs, Seed: seed, Converge: converge, Prob: probs[0], SkipIID: skipIID,
+		})
 		if err != nil {
 			return nil, err
 		}
@@ -600,7 +577,7 @@ func (s *Server) planEstimate(body []byte) (*Plan, error) {
 			Program: name, ProgramSHA: sha, Runs: len(times), Seed: seed,
 			MaxObserved: res.MaxSeen, PWCET: make(map[string]float64, len(probs)),
 		}
-		if res.IIDChecked {
+		if !skipIID {
 			resp.IID = &IIDSummary{WWAbsZ: res.IID.WW.AbsZ, KSPValue: res.IID.KS.PValue, Passed: res.IID.Passed}
 		}
 		for _, p := range probs {

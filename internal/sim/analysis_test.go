@@ -58,6 +58,24 @@ func freshAnalysis(t testing.TB, cfg Config, prog *isa.Program, seed uint64) *Re
 	return res
 }
 
+// runAnalysis is one run of a freshly constructed analysis-mode platform
+// with prog on core 0, through the production loop (New + Run).
+func runAnalysis(t testing.TB, cfg Config, prog *isa.Program, seed uint64) *Result {
+	t.Helper()
+	cfg = cfg.WithAnalysis(0)
+	progs := make([]*isa.Program, cfg.Cores)
+	progs[0] = prog
+	m, err := New(cfg, progs, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := m.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
 // checkStream streams len(seeds) runs of prog under cfg (run i seeded
 // seeds[i]) through a fresh audited pool and compares them with the
 // reference results: the streamed times run for run, then every run in
@@ -166,12 +184,11 @@ func TestStreamGoldenAllKernels(t *testing.T) {
 	}
 }
 
-// TestBatchLockstepProperty is the stream property test: run i of a
+// TestStreamMatchesFreshAnalysis is the stream property test: run i of a
 // stream is exactly a fresh lockstep analysis run (freshAnalysis) under
 // seedFor(i) — across the config matrix, with the auditor's invariants
-// holding on every run. Its name predates the stream; "lockstep" now names
-// the reference loop that freshAnalysis runs.
-func TestBatchLockstepProperty(t *testing.T) {
+// holding on every run.
+func TestStreamMatchesFreshAnalysis(t *testing.T) {
 	prog := bench.CANRdr()
 	seeds := make([]uint64, 8)
 	for i := range seeds {

@@ -213,7 +213,7 @@ func TestThreeLevelEndToEnd(t *testing.T) {
 
 // TestThreeLevelStreamMatchesFresh is the stream property test on the deeper
 // hierarchy: run i of a stream over the 3-level config is exactly a fresh
-// RunAnalysis under seedFor(i), audited run by run.
+// analysis run under seedFor(i), audited run by run.
 func TestThreeLevelStreamMatchesFresh(t *testing.T) {
 	cfg := threeLevelConfig()
 	prog := bench.CANRdr()

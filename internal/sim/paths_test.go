@@ -66,10 +66,7 @@ func TestAnalysisMemoryChargesUBD(t *testing.T) {
 	// UBD = cores*slot + service.
 	cfg := DefaultConfig().WithEFL(250)
 	prog := storeHeavy(8192, 1)
-	ana, err := RunAnalysis(cfg, prog, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ana := runAnalysis(t, cfg, prog, 5)
 	dep, err := New(DefaultConfig().WithEFL(250), []*isa.Program{prog}, 5)
 	if err != nil {
 		t.Fatal(err)

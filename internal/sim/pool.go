@@ -6,7 +6,8 @@ package sim
 // optional auditor, and runs analysis campaigns on them. Both campaign
 // shapes — the fixed-count CollectAnalysisTimes, seeded once, and the
 // converged StreamAnalysisTimes, rewound per run — drive the same audited
-// run loop (auditedRuns); only their seeding differs.
+// run loop (auditedRuns); only their seeding differs. Estimate is the one
+// MBPTA estimate pipeline on top of them: collect, then mbpta.Analyze.
 
 import (
 	"context"
@@ -17,6 +18,8 @@ import (
 	"efl/internal/cpu"
 	"efl/internal/isa"
 	"efl/internal/lru"
+	"efl/internal/mbpta"
+	"efl/internal/runner"
 )
 
 // Pool caches one platform per distinct Config so that campaign workers
@@ -273,6 +276,52 @@ func (p *Pool) StreamAnalysisTimes(ctx context.Context, cfg Config, prog *isa.Pr
 		return 0, err
 	}
 	return p.auditedRuns(ctx, m, cfg, maxRuns, func(run int) { m.Rewind(seedFor(run)) }, emit)
+}
+
+// EstimateSpec describes one MBPTA estimate for Pool.Estimate.
+type EstimateSpec struct {
+	// Runs is the sample size, or the run ceiling when Converge is set.
+	Runs int
+	// Seed is the campaign seed. A fixed-count campaign seeds the platform
+	// once with it; a converged one rewinds run i to runner.RunSeed(Seed, i).
+	Seed uint64
+	// Converge stops collection once the streaming pWCET at Prob is
+	// stable (mbpta.Stream) instead of always running Runs runs.
+	Converge bool
+	// Prob is the exceedance probability the converged stream tracks.
+	Prob float64
+	// SkipIID lifts the i.i.d. gate; the battery still runs and is
+	// reported in the Result.
+	SkipIID bool
+}
+
+// Estimate is the one MBPTA estimate pipeline: it collects analysis-mode
+// execution times of prog under cfg (CollectAnalysisTimes, or
+// StreamAnalysisTimes into an mbpta.Stream when spec.Converge is set) and
+// runs mbpta.Analyze over them, which applies the i.i.d. battery and fits
+// the tail. A collection error returns no times; an analysis error returns
+// the collected times, and the Result too when the i.i.d. gate rejected
+// the sample. Every run is checked by the attached auditor.
+func (p *Pool) Estimate(ctx context.Context, cfg Config, prog *isa.Program, spec EstimateSpec) ([]float64, *mbpta.Result, error) {
+	var times []float64
+	if spec.Converge {
+		stream, err := mbpta.NewStream(mbpta.StreamOptions{Prob: spec.Prob, MaxRuns: spec.Runs})
+		if err != nil {
+			return nil, nil, err
+		}
+		if _, err := p.StreamAnalysisTimes(ctx, cfg, prog, 0, spec.Runs,
+			func(i int) uint64 { return runner.RunSeed(spec.Seed, i) }, stream.Add); err != nil {
+			return nil, nil, err
+		}
+		times = stream.Times()
+	} else {
+		var err error
+		if times, err = p.CollectAnalysisTimes(ctx, cfg, prog, spec.Runs, spec.Seed); err != nil {
+			return nil, nil, err
+		}
+	}
+	res, err := mbpta.Analyze(times, mbpta.Options{SkipIIDTests: spec.SkipIID})
+	return times, res, err
 }
 
 // auditedRuns is the run loop both campaign shapes share. Until emit

@@ -948,17 +948,3 @@ func addCacheStats(dst *cache.Stats, s cache.Stats) {
 	dst.Flushes += s.Flushes
 	dst.MemoHits += s.MemoHits
 }
-
-// RunAnalysis is a convenience wrapper: it builds an analysis-mode
-// platform for prog on core 0 under cfg and returns the execution time
-// (cycles) of one run. cfg's Mode/AnalysedCore are overridden.
-func RunAnalysis(cfg Config, prog *isa.Program, seed uint64) (*Result, error) {
-	cfg = cfg.WithAnalysis(0)
-	progs := make([]*isa.Program, cfg.Cores)
-	progs[0] = prog
-	m, err := New(cfg, progs, seed)
-	if err != nil {
-		return nil, err
-	}
-	return m.Run()
-}

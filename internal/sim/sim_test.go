@@ -245,10 +245,7 @@ func TestAnalysisSlowerThanIsolatedDeployment(t *testing.T) {
 	// pWCET trustworthiness: analysis-time execution must upper-bound an
 	// uncontended deployment run of the same program.
 	prog := loopProg("bound", 256, 4)
-	ana, err := RunAnalysis(DefaultConfig().WithEFL(500), prog, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ana := runAnalysis(t, DefaultConfig().WithEFL(500), prog, 6)
 	mDep, _ := New(DefaultConfig().WithEFL(500), []*isa.Program{prog}, 6)
 	dep, err := mDep.Run()
 	if err != nil {
@@ -427,10 +424,7 @@ func TestFaultSurfaces(t *testing.T) {
 
 func TestModeRecordedInResults(t *testing.T) {
 	prog := loopProg("modes", 64, 1)
-	res, err := RunAnalysis(DefaultConfig().WithEFL(250), prog, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runAnalysis(t, DefaultConfig().WithEFL(250), prog, 13)
 	// In analysis mode the analysed core's EFL stats must show evictions
 	// being recorded, and the mode must be analysis.
 	if res.PerCore[0].EFL.Evictions == 0 && llcStats(res).Misses > 0 {

@@ -145,7 +145,7 @@ func TestReplayAuditedRun(t *testing.T) {
 }
 
 // TestReplayStreamMatchesFresh pins per-index seeding on a traced workload: run
-// i of a stream is exactly a fresh RunAnalysis under seedFor(i).
+// i of a stream is exactly a fresh analysis run under seedFor(i).
 func TestReplayStreamMatchesFresh(t *testing.T) {
 	data := genTrace(t, testSpec())
 	prog, err := Replay("lockstep", data)
@@ -164,8 +164,14 @@ func TestReplayStreamMatchesFresh(t *testing.T) {
 	if n != runs {
 		t.Fatalf("consumed %d runs, want %d", n, runs)
 	}
+	progs := make([]*isa.Program, cfg.Cores)
+	progs[0] = prog
 	for i, got := range times {
-		want, err := sim.RunAnalysis(cfg, prog, seedFor(i))
+		m, err := sim.New(cfg.WithAnalysis(0), progs, seedFor(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := m.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
